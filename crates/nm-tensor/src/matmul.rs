@@ -1,11 +1,170 @@
 //! Dense matrix multiplication kernels.
 //!
-//! `ikj` loop order keeps the inner loop streaming over contiguous rows
-//! of both the output and `rhs`, which LLVM auto-vectorizes. The
-//! transpose-fused variants avoid materializing transposed operands in
-//! the autograd backward pass.
+//! # Kernel contract
+//!
+//! Every kernel here computes each output element as one sum over `k`
+//! ascending, and rounds each product before adding it: no `mul_add`
+//! and no FMA contraction, which Rust never introduces on its own.
+//! `matmul` and `matmul_tn` start each sum at `+0.0`. `matmul_nt` starts
+//! at `-0.0`, which is where `Iterator::sum` on `f32` starts, like
+//! [`Tensor::rowwise_dot`] and [`vecmat_nt_blocked`]. Tiling and
+//! blocking split only the output's row and column axes, so no
+//! element's accumulation is ever reordered: the results are
+//! bit-identical to the plain reference loops below, and checkpoints,
+//! snapshots and golden logs do not move when a kernel changes.
+//!
+//! # Register tiles
+//!
+//! The three products share one kernel, [`Gemm`]. It keeps an `M x W`
+//! block of outputs in a local array that LLVM holds in registers,
+//! streams `k` through it, and writes the block once. At the x86-64
+//! SSE2 baseline (16 registers of 4 lanes) each tile shape keeps eight
+//! registers of accumulators, enough independent adds to cover the add
+//! latency, and leaves room for the right-hand row and the broadcast
+//! left value: a 4 x 16 tile would need all 16 registers for its
+//! accumulators alone. Narrow outputs (fewer than 4 columns, such as a
+//! prediction head's single logit) take 8 rows per tile instead, so
+//! eight row sums run side by side rather than one serial chain.
+//!
+//! # Zero skip without a branch
+//!
+//! The reference loops of `matmul` and `matmul_tn` skip a left element
+//! equal to `0.0`. The tile has no such branch: ReLU outputs are about
+//! half zeros, so it would mispredict. An accumulator starts at `+0.0`,
+//! and round-to-nearest yields `-0.0` from an add only when both
+//! addends are `-0.0`, so the accumulator is never `-0.0`; adding
+//! `0 * b`, which is `±0.0` for finite `b`, leaves it unchanged. A
+//! skipped product can only matter when `b` is infinite or NaN, and
+//! then `0 * b` is NaN and so is the tile's sum. A tile result without
+//! a NaN is therefore exact as it stands. When any output is NaN, the
+//! reference loop recomputes the product. That also keeps which NaN
+//! comes out identical, which IEEE 754 leaves open when two NaNs meet
+//! in an add.
 
 use crate::Tensor;
+
+/// The shared kernel: `out = init + lhs * rhs`, where `lhs(i, kk)` reads
+/// element `(i, kk)` of the `rows x k` left operand and `rhs` is a
+/// row-major `k x c` matrix. No zero skip.
+struct Gemm<'a, F> {
+    lhs: F,
+    rows: usize,
+    rhs: &'a [f32],
+    c: usize,
+    init: f32,
+}
+
+impl<F: Fn(usize, usize) -> f32> Gemm<'_, F> {
+    /// Fills the row-major `rows x c` output `out`; returns whether any
+    /// output is NaN.
+    fn run(&self, out: &mut [f32]) -> bool {
+        let c = self.c;
+        let mut nan = false;
+        let mut j = 0;
+        while j + 16 <= c {
+            nan |= self.columns::<2, 16>(j, out);
+            j += 16;
+        }
+        if j + 8 <= c {
+            nan |= self.columns::<4, 8>(j, out);
+            j += 8;
+        }
+        if j + 4 <= c {
+            nan |= self.columns::<8, 4>(j, out);
+            j += 4;
+        }
+        for j in j..c {
+            nan |= self.columns::<8, 1>(j, out);
+        }
+        nan
+    }
+
+    /// Output columns `j..j + W` of every row, `M` rows per tile.
+    fn columns<const M: usize, const W: usize>(&self, j: usize, out: &mut [f32]) -> bool {
+        let mut nan = false;
+        let mut i = 0;
+        while i + M <= self.rows {
+            nan |= self.tile::<M, W>(i, j, out);
+            i += M;
+        }
+        for i in i..self.rows {
+            nan |= self.tile::<1, W>(i, j, out);
+        }
+        nan
+    }
+
+    /// The `M x W` output block at `(i, j)`, accumulated in registers.
+    fn tile<const M: usize, const W: usize>(&self, i: usize, j: usize, out: &mut [f32]) -> bool {
+        let mut acc = [[self.init; W]; M];
+        for (kk, brow) in self.rhs.chunks_exact(self.c).enumerate() {
+            let b = &brow[j..j + W];
+            for (m, row) in acc.iter_mut().enumerate() {
+                let av = (self.lhs)(i + m, kk);
+                for (o, &bv) in row.iter_mut().zip(b) {
+                    *o += av * bv;
+                }
+            }
+        }
+        let mut nan = false;
+        for (m, row) in acc.iter().enumerate() {
+            let at = (i + m) * self.c + j;
+            out[at..at + W].copy_from_slice(row);
+            nan = row.iter().fold(nan, |n, v| n | v.is_nan());
+        }
+        nan
+    }
+}
+
+/// Reference `matmul` for an `a` of `r x k`: the `ikj` loop with the
+/// zero skip.
+fn matmul_reference(a: &[f32], b: &[f32], (r, k, c): (usize, usize, usize), o: &mut [f32]) {
+    o.fill(0.0);
+    for i in 0..r {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut o[i * c..(i + 1) * c];
+        for (kk, &av) in arow.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let brow = &b[kk * c..(kk + 1) * c];
+            for (ov, &bv) in orow.iter_mut().zip(brow) {
+                *ov += av * bv;
+            }
+        }
+    }
+}
+
+/// Reference `matmul_tn` for an `a` of `k x r`: the `kij` loop with the
+/// zero skip.
+fn matmul_tn_reference(a: &[f32], b: &[f32], (r, k, c): (usize, usize, usize), o: &mut [f32]) {
+    o.fill(0.0);
+    for kk in 0..k {
+        let arow = &a[kk * r..(kk + 1) * r];
+        let brow = &b[kk * c..(kk + 1) * c];
+        for (i, &av) in arow.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let orow = &mut o[i * c..(i + 1) * c];
+            for (ov, &bv) in orow.iter_mut().zip(brow) {
+                *ov += av * bv;
+            }
+        }
+    }
+}
+
+/// Reference `matmul_nt` for an `a` of `r x k` and a `b` of `c x k`: one
+/// serial dot per output element.
+fn matmul_nt_reference(a: &[f32], b: &[f32], (r, k, c): (usize, usize, usize), o: &mut [f32]) {
+    for i in 0..r {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut o[i * c..(i + 1) * c];
+        for (j, ov) in orow.iter_mut().enumerate() {
+            let brow = &b[j * k..(j + 1) * k];
+            *ov = arow.iter().zip(brow).map(|(x, y)| x * y).sum();
+        }
+    }
+}
 
 impl Tensor {
     /// `self (R x K) * rhs (K x C) -> R x C`.
@@ -26,26 +185,25 @@ impl Tensor {
         let c = rhs.cols();
         let mut out = Tensor::zeros(r, c);
         let a = self.data();
-        let b = rhs.data();
-        let o = out.data_mut();
-        for i in 0..r {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut o[i * c..(i + 1) * c];
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * c..(kk + 1) * c];
-                for (ov, &bv) in orow.iter_mut().zip(brow) {
-                    *ov += av * bv;
-                }
-            }
+        let gemm = Gemm {
+            lhs: |i, kk| a[i * k + kk],
+            rows: r,
+            rhs: rhs.data(),
+            c,
+            init: 0.0,
+        };
+        if gemm.run(out.data_mut()) {
+            matmul_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
         out
     }
 
-    /// `self^T (K x R)^T=(R x K? no) …` — computes `self.transpose() * rhs`
-    /// without materializing the transpose: `self (K x R), rhs (K x C) -> R x C`.
+    /// `self^T * rhs` without materializing the transpose:
+    /// `self (K x R), rhs (K x C) -> R x C`, i.e.
+    /// `out[i][j] = sum_k self[k][i] * rhs[k][j]`.
+    ///
+    /// # Panics
+    /// If the operands' row counts differ.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.rows(),
@@ -60,27 +218,26 @@ impl Tensor {
         let c = rhs.cols();
         let mut out = Tensor::zeros(r, c);
         let a = self.data();
-        let b = rhs.data();
-        let o = out.data_mut();
-        // out[i][j] = sum_k a[k][i] * b[k][j]
-        for kk in 0..k {
-            let arow = &a[kk * r..(kk + 1) * r];
-            let brow = &b[kk * c..(kk + 1) * c];
-            for (i, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut o[i * c..(i + 1) * c];
-                for (ov, &bv) in orow.iter_mut().zip(brow) {
-                    *ov += av * bv;
-                }
-            }
+        let gemm = Gemm {
+            lhs: |i, kk| a[kk * r + i],
+            rows: r,
+            rhs: rhs.data(),
+            c,
+            init: 0.0,
+        };
+        if gemm.run(out.data_mut()) {
+            matmul_tn_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
         out
     }
 
-    /// Computes `self * rhs.transpose()` without materializing the
-    /// transpose: `self (R x K), rhs (C x K) -> R x C`.
+    /// `self * rhs^T`: `self (R x K), rhs (C x K) -> R x C`. `rhs` is
+    /// copied transposed (a weight in the backward pass, so small) and
+    /// the tile then runs across output columns, instead of one serial
+    /// dot per output element.
+    ///
+    /// # Panics
+    /// If the operands' column counts differ.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols(),
@@ -94,16 +251,17 @@ impl Tensor {
         let (r, k) = self.shape();
         let c = rhs.rows();
         let mut out = Tensor::zeros(r, c);
+        let bt = rhs.transpose();
         let a = self.data();
-        let b = rhs.data();
-        let o = out.data_mut();
-        for i in 0..r {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut o[i * c..(i + 1) * c];
-            for (j, ov) in orow.iter_mut().enumerate() {
-                let brow = &b[j * k..(j + 1) * k];
-                *ov = arow.iter().zip(brow).map(|(x, y)| x * y).sum();
-            }
+        let gemm = Gemm {
+            lhs: |i, kk| a[i * k + kk],
+            rows: r,
+            rhs: bt.data(),
+            c,
+            init: -0.0,
+        };
+        if gemm.run(out.data_mut()) {
+            matmul_nt_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
         out
     }
@@ -118,8 +276,8 @@ const VEC_BLOCK: usize = 64;
 ///
 /// Bit-for-bit compatible with `Tensor::matmul` on a `1 x k` lhs
 /// followed by a broadcast add: per output element the sum runs over
-/// `k` ascending and skips `x[kk] == 0.0` exactly like the `ikj`
-/// kernel above, and blocking only partitions the `j` axis, which
+/// `k` ascending and skips `x[kk] == 0.0` exactly like `matmul`'s
+/// reference loop, and blocking only partitions the `j` axis, which
 /// never reorders any single element's accumulation.
 pub fn vecmat_blocked(x: &[f32], w: &[f32], k: usize, n: usize, bias: Option<&[f32]>) -> Vec<f32> {
     assert_eq!(x.len(), k, "vecmat_blocked: x len {} != k {k}", x.len());
@@ -278,6 +436,103 @@ mod tests {
         let reference = x.matmul_nt(&rows);
         let got = vecmat_nt_blocked(x.data(), rows.data(), n_rows, k, None);
         assert_eq!(got.as_slice(), reference.data(), "must match bit for bit");
+    }
+
+    /// A seeded `r x c` operand of normal values, about a quarter of
+    /// them replaced by one of `specials`.
+    fn operand(r: usize, c: usize, specials: &[f32], rng: &mut TensorRng) -> Tensor {
+        let mut t = Tensor::randn(r, c, 1.0, rng);
+        for x in t.data_mut() {
+            if rng.index(4) == 0 {
+                *x = specials[rng.index(specials.len())];
+            }
+        }
+        t
+    }
+
+    /// ReLU-style exact zeros, and negative zeros, for the left operand.
+    const LHS_SPECIALS: [f32; 2] = [0.0, -0.0];
+    /// Right-operand specials the tile must handle without a fallback.
+    const RHS_FINITE: [f32; 4] = [-0.0, 0.0, 1e-40, -3e-39];
+    /// Right-operand specials where a skipped `0 * b` is NaN and where
+    /// two NaNs can meet in one sum: the reference loop must take over.
+    const RHS_NON_FINITE: [f32; 5] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0, 1e-40];
+
+    fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows(), b.cols());
+        let dims = (a.rows(), a.cols(), b.cols());
+        matmul_reference(a.data(), b.data(), dims, out.data_mut());
+        out
+    }
+
+    fn reference_matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.cols(), b.cols());
+        let dims = (a.cols(), a.rows(), b.cols());
+        matmul_tn_reference(a.data(), b.data(), dims, out.data_mut());
+        out
+    }
+
+    fn reference_matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows(), b.rows());
+        let dims = (a.rows(), a.cols(), b.rows());
+        matmul_nt_reference(a.data(), b.data(), dims, out.data_mut());
+        out
+    }
+
+    fn reference_rowwise_dot(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows(), 1);
+        for i in 0..a.rows() {
+            let dot = a.row_slice(i).iter().zip(b.row_slice(i));
+            out.data_mut()[i] = dot.map(|(x, y)| x * y).sum();
+        }
+        out
+    }
+
+    fn assert_bits(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (got, want) = (bits(got), bits(want));
+        assert!(got == want, "{what}: {got:x?} != reference {want:x?}");
+    }
+
+    #[test]
+    fn tiled_kernels_bitwise_match_reference_loops() {
+        let mut rng = TensorRng::seed_from(13);
+        for r in [0, 1, 2, 3, 5, 17, 863] {
+            for k in [1, 8, 16, 17, 32] {
+                let a = operand(r, k, &LHS_SPECIALS, &mut rng);
+                for rhs_specials in [&RHS_FINITE[..], &RHS_NON_FINITE[..]] {
+                    let shape = format!("r={r} k={k} rhs specials {rhs_specials:?}");
+                    let d = operand(r, k, rhs_specials, &mut rng);
+                    assert_bits(
+                        &a.rowwise_dot(&d),
+                        &reference_rowwise_dot(&a, &d),
+                        &format!("rowwise_dot {shape}"),
+                    );
+                    let at = a.transpose();
+                    for c in [1, 2, 8, 15, 16, 17, 33] {
+                        let shape = format!("{shape} c={c}");
+                        let b = operand(k, c, rhs_specials, &mut rng);
+                        assert_bits(
+                            &a.matmul(&b),
+                            &reference_matmul(&a, &b),
+                            &format!("matmul {shape}"),
+                        );
+                        assert_bits(
+                            &at.matmul_tn(&b),
+                            &reference_matmul_tn(&at, &b),
+                            &format!("matmul_tn {shape}"),
+                        );
+                        let bt = operand(c, k, rhs_specials, &mut rng);
+                        assert_bits(
+                            &a.matmul_nt(&bt),
+                            &reference_matmul_nt(&a, &bt),
+                            &format!("matmul_nt {shape}"),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
