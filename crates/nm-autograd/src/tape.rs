@@ -431,10 +431,11 @@ impl Tape {
 
     // ---- backward -----------------------------------------------------
 
+    /// Adds a finished contribution into `v`'s gradient slot. The sum is
+    /// `g + contribution`, elementwise, after the contribution is fully
+    /// computed: folding a kernel's partial sums straight into `g` would
+    /// round differently.
     fn accumulate(&mut self, v: Var, contribution: Tensor) {
-        if !self.nodes[v.0].needs_grad {
-            return;
-        }
         match &mut self.nodes[v.0].grad {
             Some(g) => g.add_assign(&contribution),
             slot @ None => *slot = Some(contribution),
@@ -451,10 +452,234 @@ impl Tape {
         }
     }
 
+    /// `(v, adjoint())` when `v` needs a gradient; otherwise the adjoint
+    /// is never computed.
+    fn adj(&self, v: Var, adjoint: impl FnOnce() -> Tensor) -> Option<(Var, Tensor)> {
+        self.nodes[v.0].needs_grad.then(|| (v, adjoint()))
+    }
+
+    /// Node `i`'s contributions to its parents' gradients, given its own
+    /// gradient `grad`, in the order they are accumulated. Operand
+    /// values are borrowed from the tape, never copied.
+    fn adjoints(&self, i: usize, grad: &Tensor) -> [Option<(Var, Tensor)>; 2] {
+        let val = |v: Var| &self.nodes[v.0].value;
+        match &self.nodes[i].op {
+            Op::Leaf { .. } => [None, None],
+            &Op::Add(a, b, bc) => [
+                self.adj(a, || grad.clone()),
+                self.adj(b, || Self::reduce_for_broadcast(grad, bc)),
+            ],
+            &Op::Sub(a, b, bc) => [
+                self.adj(a, || grad.clone()),
+                self.adj(b, || Self::reduce_for_broadcast(grad, bc).neg()),
+            ],
+            &Op::Mul(a, b, bc) => [
+                // d/da: grad ⊙ b (b broadcasts onto grad's shape)
+                self.adj(a, || grad.mul(val(b))),
+                // d/db: reduce(grad ⊙ a) onto b's shape
+                self.adj(b, || Self::reduce_for_broadcast(&grad.mul(val(a)), bc)),
+            ],
+            &Op::Scale(a, s) => [self.adj(a, || grad.scale(s)), None],
+            &Op::AddScalar(a) => [self.adj(a, || grad.clone()), None],
+            &Op::Neg(a) => [self.adj(a, || grad.neg()), None],
+            &Op::Matmul(a, b) => [
+                self.adj(a, || grad.matmul_nt(val(b))),
+                self.adj(b, || val(a).matmul_tn(grad)),
+            ],
+            &Op::Relu(a) => [
+                self.adj(a, || {
+                    let mut g = grad.clone();
+                    for (gv, &xv) in g.data_mut().iter_mut().zip(val(a).data()) {
+                        if xv <= 0.0 {
+                            *gv = 0.0;
+                        }
+                    }
+                    g
+                }),
+                None,
+            ],
+            &Op::Sigmoid(a) => [
+                self.adj(a, || {
+                    let mut g = grad.clone();
+                    for (gv, &yv) in g.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
+                        *gv *= yv * (1.0 - yv);
+                    }
+                    g
+                }),
+                None,
+            ],
+            &Op::Tanh(a) => [
+                self.adj(a, || {
+                    let mut g = grad.clone();
+                    for (gv, &yv) in g.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
+                        *gv *= 1.0 - yv * yv;
+                    }
+                    g
+                }),
+                None,
+            ],
+            &Op::Softplus(a) => [
+                self.adj(a, || {
+                    let mut g = grad.clone();
+                    for (gv, &x) in g.data_mut().iter_mut().zip(val(a).data()) {
+                        *gv *= sigmoid_scalar(x);
+                    }
+                    g
+                }),
+                None,
+            ],
+            &Op::SoftmaxRows(a) => [
+                self.adj(a, || {
+                    let p = &self.nodes[i].value;
+                    let (r, c) = p.shape();
+                    let mut g = Tensor::zeros(r, c);
+                    for row in 0..r {
+                        let prow = p.row_slice(row);
+                        let grow = grad.row_slice(row);
+                        let dot: f32 = prow.iter().zip(grow).map(|(&pv, &gv)| pv * gv).sum();
+                        for ((o, &pv), &gv) in g.row_slice_mut(row).iter_mut().zip(prow).zip(grow) {
+                            *o = pv * (gv - dot);
+                        }
+                    }
+                    g
+                }),
+                None,
+            ],
+            &Op::ConcatCols(a, b) => {
+                let ca = val(a).cols();
+                let cb = val(b).cols();
+                [
+                    self.adj(a, || grad.slice_cols(0, ca)),
+                    self.adj(b, || grad.slice_cols(ca, ca + cb)),
+                ]
+            }
+            &Op::SliceRows(a, start, _end) => [
+                self.adj(a, || {
+                    let (r, c) = val(a).shape();
+                    let mut g = Tensor::zeros(r, c);
+                    let idx: Vec<u32> = (start..start + grad.rows()).map(|x| x as u32).collect();
+                    g.scatter_add_rows(&idx, grad);
+                    g
+                }),
+                None,
+            ],
+            &Op::SliceCols(a, start, end) => [
+                self.adj(a, || {
+                    let (r, c) = val(a).shape();
+                    let mut g = Tensor::zeros(r, c);
+                    for row in 0..r {
+                        g.row_slice_mut(row)[start..end].copy_from_slice(grad.row_slice(row));
+                    }
+                    g
+                }),
+                None,
+            ],
+            Op::GatherRows(a, indices) => [
+                self.adj(*a, || {
+                    let (r, c) = val(*a).shape();
+                    let mut g = Tensor::zeros(r, c);
+                    g.scatter_add_rows(indices, grad);
+                    g
+                }),
+                None,
+            ],
+            Op::Spmm(adj_t, x) => [
+                self.adj(*x, || {
+                    let width = grad.cols();
+                    Tensor::new(adj_t.n_rows(), width, adj_t.spmm(grad.data(), width))
+                }),
+                None,
+            ],
+            // grad is R x 1; broadcast across columns
+            &Op::RowwiseDot(a, b) => [
+                self.adj(a, || val(b).mul(grad)),
+                self.adj(b, || val(a).mul(grad)),
+            ],
+            &Op::SumAll(a) => [
+                self.adj(a, || {
+                    let (r, c) = val(a).shape();
+                    Tensor::full(r, c, grad.item())
+                }),
+                None,
+            ],
+            &Op::MeanAll(a) => [
+                self.adj(a, || {
+                    let (r, c) = val(a).shape();
+                    let n = (r * c).max(1) as f32;
+                    Tensor::full(r, c, grad.item() / n)
+                }),
+                None,
+            ],
+            // grad: R x 1 broadcast across the row
+            &Op::SumAxisCols(a) => [
+                self.adj(a, || {
+                    let (r, c) = val(a).shape();
+                    Tensor::ones(r, c).mul(grad)
+                }),
+                None,
+            ],
+            &Op::SumSquares(a) => [self.adj(a, || val(a).scale(2.0 * grad.item())), None],
+            Op::BceWithLogits(x, targets) => [
+                self.adj(*x, || {
+                    let xv = val(*x);
+                    let n = xv.len().max(1) as f32;
+                    let scale = grad.item() / n;
+                    let mut g = xv.clone();
+                    for (gv, &yv) in g.data_mut().iter_mut().zip(targets.data()) {
+                        *gv = (sigmoid_scalar(*gv) - yv) * scale;
+                    }
+                    g
+                }),
+                None,
+            ],
+            &Op::Reshape(a) => [
+                self.adj(a, || {
+                    let (r, c) = val(a).shape();
+                    grad.reshape(r, c).expect("reshape backward")
+                }),
+                None,
+            ],
+            // adjoint of repeat = segment sum
+            &Op::RepeatRows(a, k) => [
+                self.adj(a, || {
+                    let (rk, c) = grad.shape();
+                    let r = rk / k;
+                    let mut g = Tensor::zeros(r, c);
+                    for row in 0..r {
+                        for j in 0..k {
+                            let s = grad.row_slice(row * k + j);
+                            for (o, &v) in g.row_slice_mut(row).iter_mut().zip(s) {
+                                *o += v;
+                            }
+                        }
+                    }
+                    g
+                }),
+                None,
+            ],
+            // adjoint of segment sum = repeat
+            &Op::SegmentSumRows(a, k) => [
+                self.adj(a, || {
+                    let (r, c) = grad.shape();
+                    let mut g = Tensor::zeros(r * k, c);
+                    for row in 0..r {
+                        let s = grad.row_slice(row);
+                        for j in 0..k {
+                            g.row_slice_mut(row * k + j).copy_from_slice(s);
+                        }
+                    }
+                    g
+                }),
+                None,
+            ],
+        }
+    }
+
     /// Runs the reverse sweep from `loss`, which must be `1 x 1`.
     ///
     /// May be called once per tape; a second call would double-count
-    /// (gradients accumulate), so it panics.
+    /// (gradients accumulate), so it panics. Afterwards every node that
+    /// needs a gradient and lies on a path to `loss` holds it.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(
             self.value(loss).shape(),
@@ -471,197 +696,19 @@ impl Tape {
         self.nodes[loss.0].grad = Some(Tensor::scalar(1.0));
 
         for i in (0..=loss.0).rev() {
-            let Some(grad) = self.nodes[i].grad.clone() else {
+            // Out of its slot for this step, so the sweep can borrow it
+            // while accumulating into the parents; put back below.
+            let Some(grad) = self.nodes[i].grad.take() else {
                 continue;
             };
             // One profile window per node: the body below is exactly
             // node i's backward kernel (adjoint computation plus the
             // accumulate into its parents).
             let timer = profile::op_start();
-            // Clone the small op metadata; tensors inside are Rc'd.
-            match &self.nodes[i].op {
-                Op::Leaf { .. } => {}
-                &Op::Add(a, b, bc) => {
-                    self.accumulate(a, grad.clone());
-                    self.accumulate(b, Self::reduce_for_broadcast(&grad, bc));
-                }
-                &Op::Sub(a, b, bc) => {
-                    self.accumulate(a, grad.clone());
-                    self.accumulate(b, Self::reduce_for_broadcast(&grad, bc).neg());
-                }
-                &Op::Mul(a, b, bc) => {
-                    let bv = self.nodes[b.0].value.clone();
-                    let av = self.nodes[a.0].value.clone();
-                    // d/da: grad ⊙ b (b broadcasts onto grad's shape)
-                    self.accumulate(a, grad.mul(&bv));
-                    // d/db: reduce(grad ⊙ a) onto b's shape
-                    let gb = Self::reduce_for_broadcast(&grad.mul(&av), bc);
-                    self.accumulate(b, gb);
-                }
-                &Op::Scale(a, s) => self.accumulate(a, grad.scale(s)),
-                &Op::AddScalar(a) => self.accumulate(a, grad.clone()),
-                &Op::Neg(a) => self.accumulate(a, grad.neg()),
-                &Op::Matmul(a, b) => {
-                    let av = self.nodes[a.0].value.clone();
-                    let bv = self.nodes[b.0].value.clone();
-                    self.accumulate(a, grad.matmul_nt(&bv));
-                    self.accumulate(b, av.matmul_tn(&grad));
-                }
-                &Op::Relu(a) => {
-                    let xv = &self.nodes[a.0].value;
-                    let mut g = grad.clone();
-                    for (gv, &xv) in g.data_mut().iter_mut().zip(xv.data()) {
-                        if xv <= 0.0 {
-                            *gv = 0.0;
-                        }
-                    }
-                    self.accumulate(a, g);
-                }
-                &Op::Sigmoid(a) => {
-                    let y = &self.nodes[i].value;
-                    let mut g = grad.clone();
-                    for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
-                        *gv *= yv * (1.0 - yv);
-                    }
-                    self.accumulate(a, g);
-                }
-                &Op::Tanh(a) => {
-                    let y = &self.nodes[i].value;
-                    let mut g = grad.clone();
-                    for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
-                        *gv *= 1.0 - yv * yv;
-                    }
-                    self.accumulate(a, g);
-                }
-                &Op::Softplus(a) => {
-                    let xv = &self.nodes[a.0].value;
-                    let mut g = grad.clone();
-                    for (gv, &x) in g.data_mut().iter_mut().zip(xv.data()) {
-                        *gv *= sigmoid_scalar(x);
-                    }
-                    self.accumulate(a, g);
-                }
-                &Op::SoftmaxRows(a) => {
-                    let p = &self.nodes[i].value;
-                    let (r, c) = p.shape();
-                    let mut g = Tensor::zeros(r, c);
-                    for row in 0..r {
-                        let prow = p.row_slice(row);
-                        let grow = grad.row_slice(row);
-                        let dot: f32 = prow.iter().zip(grow).map(|(&pv, &gv)| pv * gv).sum();
-                        for ((o, &pv), &gv) in g.row_slice_mut(row).iter_mut().zip(prow).zip(grow) {
-                            *o = pv * (gv - dot);
-                        }
-                    }
-                    self.accumulate(a, g);
-                }
-                &Op::ConcatCols(a, b) => {
-                    let ca = self.nodes[a.0].value.cols();
-                    let cb = self.nodes[b.0].value.cols();
-                    self.accumulate(a, grad.slice_cols(0, ca));
-                    self.accumulate(b, grad.slice_cols(ca, ca + cb));
-                }
-                &Op::SliceRows(a, start, _end) => {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let mut g = Tensor::zeros(r, c);
-                    let idx: Vec<u32> = (start..start + grad.rows()).map(|x| x as u32).collect();
-                    g.scatter_add_rows(&idx, &grad);
-                    self.accumulate(a, g);
-                }
-                &Op::SliceCols(a, start, end) => {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let mut g = Tensor::zeros(r, c);
-                    for row in 0..r {
-                        g.row_slice_mut(row)[start..end].copy_from_slice(grad.row_slice(row));
-                    }
-                    self.accumulate(a, g);
-                }
-                Op::GatherRows(a, indices) => {
-                    let a = *a;
-                    let indices = Rc::clone(indices);
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let mut g = Tensor::zeros(r, c);
-                    g.scatter_add_rows(&indices, &grad);
-                    self.accumulate(a, g);
-                }
-                Op::Spmm(adj_t, x) => {
-                    let x = *x;
-                    let adj_t = Rc::clone(adj_t);
-                    let width = grad.cols();
-                    let gx = adj_t.spmm(grad.data(), width);
-                    let gx = Tensor::new(adj_t.n_rows(), width, gx);
-                    self.accumulate(x, gx);
-                }
-                &Op::RowwiseDot(a, b) => {
-                    let av = self.nodes[a.0].value.clone();
-                    let bv = self.nodes[b.0].value.clone();
-                    // grad is R x 1; broadcast across columns
-                    self.accumulate(a, bv.mul(&grad));
-                    self.accumulate(b, av.mul(&grad));
-                }
-                &Op::SumAll(a) => {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    self.accumulate(a, Tensor::full(r, c, grad.item()));
-                }
-                &Op::MeanAll(a) => {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let n = (r * c).max(1) as f32;
-                    self.accumulate(a, Tensor::full(r, c, grad.item() / n));
-                }
-                &Op::SumAxisCols(a) => {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    // grad: R x 1 broadcast across the row
-                    self.accumulate(a, Tensor::ones(r, c).mul(&grad));
-                }
-                &Op::SumSquares(a) => {
-                    let av = self.nodes[a.0].value.clone();
-                    self.accumulate(a, av.scale(2.0 * grad.item()));
-                }
-                Op::BceWithLogits(x, targets) => {
-                    let x = *x;
-                    let targets = Rc::clone(targets);
-                    let xv = &self.nodes[x.0].value;
-                    let n = xv.len().max(1) as f32;
-                    let scale = grad.item() / n;
-                    let mut g = xv.clone();
-                    for (gv, &yv) in g.data_mut().iter_mut().zip(targets.data()) {
-                        *gv = (sigmoid_scalar(*gv) - yv) * scale;
-                    }
-                    self.accumulate(x, g);
-                }
-                &Op::Reshape(a) => {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let g = grad.reshape(r, c).expect("reshape backward");
-                    self.accumulate(a, g);
-                }
-                &Op::RepeatRows(a, k) => {
-                    // adjoint of repeat = segment sum
-                    let (rk, c) = grad.shape();
-                    let r = rk / k;
-                    let mut g = Tensor::zeros(r, c);
-                    for row in 0..r {
-                        for j in 0..k {
-                            let s = grad.row_slice(row * k + j);
-                            for (o, &v) in g.row_slice_mut(row).iter_mut().zip(s) {
-                                *o += v;
-                            }
-                        }
-                    }
-                    self.accumulate(a, g);
-                }
-                &Op::SegmentSumRows(a, k) => {
-                    // adjoint of segment sum = repeat
-                    let (r, c) = grad.shape();
-                    let mut g = Tensor::zeros(r * k, c);
-                    for row in 0..r {
-                        let s = grad.row_slice(row);
-                        for j in 0..k {
-                            g.row_slice_mut(row * k + j).copy_from_slice(s);
-                        }
-                    }
-                    self.accumulate(a, g);
-                }
+            for (parent, contribution) in self.adjoints(i, &grad).into_iter().flatten() {
+                self.accumulate(parent, contribution);
             }
+            self.nodes[i].grad = Some(grad);
             if let Some(t) = timer {
                 profile::op_finish_bwd(t, self.nodes[i].op.kind(), &self.profile_dims(i));
             }
