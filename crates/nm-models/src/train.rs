@@ -878,17 +878,18 @@ mod tests {
             assert!(t.param_norm > 0.0);
             assert!(t.steps_per_sec() > 0.0);
         }
-        // the trace file has per-epoch events and per-step spans
-        assert_eq!(
+        // The trace has per-epoch events and per-step spans. The sink is
+        // process-wide, so tests training on other threads meanwhile
+        // write into it too: count only this thread's records.
+        let tid = format!("\"tid\":{},", trace::tid());
+        let own = |name: &str| {
             lines
                 .iter()
-                .filter(|l| l.contains("\"name\":\"epoch\""))
-                .count(),
-            2
-        );
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("\"name\":\"train.forward\"")));
+                .filter(|l| l.contains(&tid) && l.contains(&format!("\"name\":\"{name}\"")))
+                .count()
+        };
+        assert_eq!(own("epoch"), 2);
+        assert!(own("train.forward") > 0);
     }
 
     #[test]

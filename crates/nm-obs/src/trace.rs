@@ -167,9 +167,12 @@ pub fn shutdown() {
 }
 
 /// Runs `f` with `sink` installed, then uninstalls — panic-safe, and
-/// serialized against other `scoped` sections so concurrent tests
-/// don't interleave into each other's sinks. Thread-local aggregates
-/// are cleared on entry so earlier traced work doesn't leak in.
+/// serialized against other `scoped` sections. The tracer is still
+/// process-wide: while `f` runs, spans and events from every thread go
+/// to `sink`, including those of concurrent tests that never call
+/// `scoped`. A caller that counts records should keep only its own
+/// thread's, by [`tid`]. Thread-local aggregates are cleared on entry
+/// so earlier traced work doesn't leak in.
 pub fn scoped<R>(sink: Arc<dyn TraceSink>, f: impl FnOnce() -> R) -> R {
     let _lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     struct Uninstall;
