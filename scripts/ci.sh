@@ -81,10 +81,13 @@ echo "== kernel-profile smoke: deterministic dump, roofline report, diff gate ==
 # Profiled 1-epoch train, run twice with the same seed: the counter
 # dump must be byte-identical (counts/FLOPs/bytes are analytic — any
 # diff is nondeterminism). The report joined with the run's trace must
-# rank matmul as the top op, the clean differential compare must pass,
-# and both CI injection knobs (a per-op busy-spin slowdown and a
-# doubled matmul FLOP model) must make it fail — a gate that cannot
-# catch a planted regression is treated as broken.
+# rank first the op with the most forward + backward self time in that
+# trace's obs.profile.time events, and a planted 4x matmul slowdown
+# must put matmul first: which op is slowest is a measurement, not a
+# constant of the code. The clean differential compare must pass, and
+# both CI injection knobs (a per-op busy-spin slowdown and a doubled
+# matmul FLOP model) must make it fail — a gate that cannot catch a
+# planted regression is treated as broken.
 PROF_ARGS=(train --scenario music-movie --scale 0.002 --epochs 1 --dim 8
   --seed 7)
 PROF_DUMP=target/ci_profile.jsonl
@@ -100,8 +103,19 @@ cmp "$PROF_DUMP" "$PROF_DUMP.b" \
 cargo run --release -q -p nm-cli -- obs validate --trace "$PROF_DUMP"
 cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP" \
   --trace "$PROF_TRACE" > target/ci_profile_report.txt
-head -3 target/ci_profile_report.txt | grep -q '^matmul ' \
-  || { echo "profile smoke: matmul is not the top op"; exit 1; }
+# first op row of a report (the row after the `op ...` header)
+top_row() { awk 'seen { print $1; exit } /^op / { seen = 1 }' "$1"; }
+# op kind with the most fwd + bwd self time in a trace, ties by kind
+slowest_in_trace() {
+  grep '"name":"obs.profile.time"' "$1" \
+    | sed 's/.*"kind":"\([^"]*\)".*"fwd_ns":\([0-9]*\),"bwd_ns":\([0-9]*\).*/\1 \2 \3/' \
+    | awk '{ t[$1] += $2 + $3 }
+           END { for (k in t) if (top == "" || t[k] > t[top] || (t[k] == t[top] && k < top)) top = k
+                 print top }'
+}
+SLOWEST=$(slowest_in_trace "$PROF_TRACE")
+[[ -n "$SLOWEST" && "$(top_row target/ci_profile_report.txt)" == "$SLOWEST" ]] \
+  || { echo "profile smoke: top row is not the trace's slowest op ($SLOWEST)"; exit 1; }
 grep -q '^machine peaks:' target/ci_profile_report.txt \
   || { echo "profile smoke: report lacks machine-peaks roofline line"; exit 1; }
 cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP" \
@@ -110,6 +124,10 @@ cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP" \
 echo "== profile gate self-test: injected drift must fail the compare =="
 NMCDR_PROF_SLOW_OP=matmul:4 cargo run --release -q -p nm-cli -- \
   "${PROF_ARGS[@]}" --profile-out "$PROF_DUMP.b" --trace-out "$PROF_TRACE.slow"
+cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP.b" \
+  --trace "$PROF_TRACE.slow" > target/ci_profile_report_slow.txt
+[[ "$(top_row target/ci_profile_report_slow.txt)" == matmul ]] \
+  || { echo "profile smoke: a 4x matmul slowdown did not rank matmul first"; exit 1; }
 if cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP.b" \
     --trace "$PROF_TRACE.slow" --compare "$PROF_DUMP" --compare-trace "$PROF_TRACE"; then
   echo "profile gate self-test FAILED: 4x matmul slowdown went undetected"
