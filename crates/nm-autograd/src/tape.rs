@@ -452,226 +452,157 @@ impl Tape {
         }
     }
 
-    /// `(v, adjoint())` when `v` needs a gradient; otherwise the adjoint
-    /// is never computed.
-    fn adj(&self, v: Var, adjoint: impl FnOnce() -> Tensor) -> Option<(Var, Tensor)> {
-        self.nodes[v.0].needs_grad.then(|| (v, adjoint()))
-    }
-
-    /// Node `i`'s contributions to its parents' gradients, given its own
-    /// gradient `grad`, in the order they are accumulated. Operand
-    /// values are borrowed from the tape, never copied.
-    fn adjoints(&self, i: usize, grad: &Tensor) -> [Option<(Var, Tensor)>; 2] {
+    /// Node `i`'s contribution to the gradient of its parent in `slot`
+    /// (the position [`Op::parents`] gives it), from node `i`'s own
+    /// gradient `grad`. Operand values are borrowed from the tape.
+    fn adjoint(&self, i: usize, slot: usize, grad: &Tensor) -> Tensor {
         let val = |v: Var| &self.nodes[v.0].value;
-        match &self.nodes[i].op {
-            Op::Leaf { .. } => [None, None],
-            &Op::Add(a, b, bc) => [
-                self.adj(a, || grad.clone()),
-                self.adj(b, || Self::reduce_for_broadcast(grad, bc)),
-            ],
-            &Op::Sub(a, b, bc) => [
-                self.adj(a, || grad.clone()),
-                self.adj(b, || Self::reduce_for_broadcast(grad, bc).neg()),
-            ],
-            &Op::Mul(a, b, bc) => [
-                // d/da: grad ⊙ b (b broadcasts onto grad's shape)
-                self.adj(a, || grad.mul(val(b))),
-                // d/db: reduce(grad ⊙ a) onto b's shape
-                self.adj(b, || Self::reduce_for_broadcast(&grad.mul(val(a)), bc)),
-            ],
-            &Op::Scale(a, s) => [self.adj(a, || grad.scale(s)), None],
-            &Op::AddScalar(a) => [self.adj(a, || grad.clone()), None],
-            &Op::Neg(a) => [self.adj(a, || grad.neg()), None],
-            &Op::Matmul(a, b) => [
-                self.adj(a, || grad.matmul_nt(val(b))),
-                self.adj(b, || val(a).matmul_tn(grad)),
-            ],
-            &Op::Relu(a) => [
-                self.adj(a, || {
-                    let mut g = grad.clone();
-                    for (gv, &xv) in g.data_mut().iter_mut().zip(val(a).data()) {
-                        if xv <= 0.0 {
-                            *gv = 0.0;
-                        }
+        let y = &self.nodes[i].value;
+        match (&self.nodes[i].op, slot) {
+            (Op::Leaf { .. }, _) => unreachable!("a leaf has no parents"),
+            (Op::Add(..) | Op::Sub(..), 0) | (Op::AddScalar(_), _) => grad.clone(),
+            (&Op::Add(_, _, bc), _) => Self::reduce_for_broadcast(grad, bc),
+            (&Op::Sub(_, _, bc), _) => Self::reduce_for_broadcast(grad, bc).neg(),
+            // d/da: grad ⊙ b (b broadcasts onto grad's shape)
+            (&Op::Mul(_, b, _), 0) => grad.mul(val(b)),
+            // d/db: reduce(grad ⊙ a) onto b's shape
+            (&Op::Mul(a, _, bc), _) => Self::reduce_for_broadcast(&grad.mul(val(a)), bc),
+            (&Op::Scale(_, s), _) => grad.scale(s),
+            (Op::Neg(_), _) => grad.neg(),
+            (&Op::Matmul(_, b), 0) => grad.matmul_nt(val(b)),
+            (&Op::Matmul(a, _), _) => val(a).matmul_tn(grad),
+            (&Op::Relu(a), _) => {
+                let mut g = grad.clone();
+                for (gv, &xv) in g.data_mut().iter_mut().zip(val(a).data()) {
+                    if xv <= 0.0 {
+                        *gv = 0.0;
                     }
-                    g
-                }),
-                None,
-            ],
-            &Op::Sigmoid(a) => [
-                self.adj(a, || {
-                    let mut g = grad.clone();
-                    for (gv, &yv) in g.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
-                        *gv *= yv * (1.0 - yv);
-                    }
-                    g
-                }),
-                None,
-            ],
-            &Op::Tanh(a) => [
-                self.adj(a, || {
-                    let mut g = grad.clone();
-                    for (gv, &yv) in g.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
-                        *gv *= 1.0 - yv * yv;
-                    }
-                    g
-                }),
-                None,
-            ],
-            &Op::Softplus(a) => [
-                self.adj(a, || {
-                    let mut g = grad.clone();
-                    for (gv, &x) in g.data_mut().iter_mut().zip(val(a).data()) {
-                        *gv *= sigmoid_scalar(x);
-                    }
-                    g
-                }),
-                None,
-            ],
-            &Op::SoftmaxRows(a) => [
-                self.adj(a, || {
-                    let p = &self.nodes[i].value;
-                    let (r, c) = p.shape();
-                    let mut g = Tensor::zeros(r, c);
-                    for row in 0..r {
-                        let prow = p.row_slice(row);
-                        let grow = grad.row_slice(row);
-                        let dot: f32 = prow.iter().zip(grow).map(|(&pv, &gv)| pv * gv).sum();
-                        for ((o, &pv), &gv) in g.row_slice_mut(row).iter_mut().zip(prow).zip(grow) {
-                            *o = pv * (gv - dot);
-                        }
-                    }
-                    g
-                }),
-                None,
-            ],
-            &Op::ConcatCols(a, b) => {
-                let ca = val(a).cols();
-                let cb = val(b).cols();
-                [
-                    self.adj(a, || grad.slice_cols(0, ca)),
-                    self.adj(b, || grad.slice_cols(ca, ca + cb)),
-                ]
+                }
+                g
             }
-            &Op::SliceRows(a, start, _end) => [
-                self.adj(a, || {
-                    let (r, c) = val(a).shape();
-                    let mut g = Tensor::zeros(r, c);
-                    let idx: Vec<u32> = (start..start + grad.rows()).map(|x| x as u32).collect();
-                    g.scatter_add_rows(&idx, grad);
-                    g
-                }),
-                None,
-            ],
-            &Op::SliceCols(a, start, end) => [
-                self.adj(a, || {
-                    let (r, c) = val(a).shape();
-                    let mut g = Tensor::zeros(r, c);
-                    for row in 0..r {
-                        g.row_slice_mut(row)[start..end].copy_from_slice(grad.row_slice(row));
+            (Op::Sigmoid(_), _) => {
+                let mut g = grad.clone();
+                for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+                    *gv *= yv * (1.0 - yv);
+                }
+                g
+            }
+            (Op::Tanh(_), _) => {
+                let mut g = grad.clone();
+                for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+                    *gv *= 1.0 - yv * yv;
+                }
+                g
+            }
+            (&Op::Softplus(a), _) => {
+                let mut g = grad.clone();
+                for (gv, &x) in g.data_mut().iter_mut().zip(val(a).data()) {
+                    *gv *= sigmoid_scalar(x);
+                }
+                g
+            }
+            (Op::SoftmaxRows(_), _) => {
+                let (r, c) = y.shape();
+                let mut g = Tensor::zeros(r, c);
+                for row in 0..r {
+                    let prow = y.row_slice(row);
+                    let grow = grad.row_slice(row);
+                    let dot: f32 = prow.iter().zip(grow).map(|(&pv, &gv)| pv * gv).sum();
+                    for ((o, &pv), &gv) in g.row_slice_mut(row).iter_mut().zip(prow).zip(grow) {
+                        *o = pv * (gv - dot);
                     }
-                    g
-                }),
-                None,
-            ],
-            Op::GatherRows(a, indices) => [
-                self.adj(*a, || {
-                    let (r, c) = val(*a).shape();
-                    let mut g = Tensor::zeros(r, c);
-                    g.scatter_add_rows(indices, grad);
-                    g
-                }),
-                None,
-            ],
-            Op::Spmm(adj_t, x) => [
-                self.adj(*x, || {
-                    let width = grad.cols();
-                    Tensor::new(adj_t.n_rows(), width, adj_t.spmm(grad.data(), width))
-                }),
-                None,
-            ],
+                }
+                g
+            }
+            (&Op::ConcatCols(a, _), 0) => grad.slice_cols(0, val(a).cols()),
+            (&Op::ConcatCols(a, b), _) => {
+                let ca = val(a).cols();
+                grad.slice_cols(ca, ca + val(b).cols())
+            }
+            (&Op::SliceRows(a, start, _end), _) => {
+                let (r, c) = val(a).shape();
+                let mut g = Tensor::zeros(r, c);
+                let idx: Vec<u32> = (start..start + grad.rows()).map(|x| x as u32).collect();
+                g.scatter_add_rows(&idx, grad);
+                g
+            }
+            (&Op::SliceCols(a, start, end), _) => {
+                let (r, c) = val(a).shape();
+                let mut g = Tensor::zeros(r, c);
+                for row in 0..r {
+                    g.row_slice_mut(row)[start..end].copy_from_slice(grad.row_slice(row));
+                }
+                g
+            }
+            (Op::GatherRows(a, indices), _) => {
+                let (r, c) = val(*a).shape();
+                let mut g = Tensor::zeros(r, c);
+                g.scatter_add_rows(indices, grad);
+                g
+            }
+            (Op::Spmm(adj_t, _), _) => {
+                let width = grad.cols();
+                Tensor::new(adj_t.n_rows(), width, adj_t.spmm(grad.data(), width))
+            }
             // grad is R x 1; broadcast across columns
-            &Op::RowwiseDot(a, b) => [
-                self.adj(a, || val(b).mul(grad)),
-                self.adj(b, || val(a).mul(grad)),
-            ],
-            &Op::SumAll(a) => [
-                self.adj(a, || {
-                    let (r, c) = val(a).shape();
-                    Tensor::full(r, c, grad.item())
-                }),
-                None,
-            ],
-            &Op::MeanAll(a) => [
-                self.adj(a, || {
-                    let (r, c) = val(a).shape();
-                    let n = (r * c).max(1) as f32;
-                    Tensor::full(r, c, grad.item() / n)
-                }),
-                None,
-            ],
+            (&Op::RowwiseDot(_, b), 0) => val(b).mul(grad),
+            (&Op::RowwiseDot(a, _), _) => val(a).mul(grad),
+            (&Op::SumAll(a), _) => {
+                let (r, c) = val(a).shape();
+                Tensor::full(r, c, grad.item())
+            }
+            (&Op::MeanAll(a), _) => {
+                let (r, c) = val(a).shape();
+                let n = (r * c).max(1) as f32;
+                Tensor::full(r, c, grad.item() / n)
+            }
             // grad: R x 1 broadcast across the row
-            &Op::SumAxisCols(a) => [
-                self.adj(a, || {
-                    let (r, c) = val(a).shape();
-                    Tensor::ones(r, c).mul(grad)
-                }),
-                None,
-            ],
-            &Op::SumSquares(a) => [self.adj(a, || val(a).scale(2.0 * grad.item())), None],
-            Op::BceWithLogits(x, targets) => [
-                self.adj(*x, || {
-                    let xv = val(*x);
-                    let n = xv.len().max(1) as f32;
-                    let scale = grad.item() / n;
-                    let mut g = xv.clone();
-                    for (gv, &yv) in g.data_mut().iter_mut().zip(targets.data()) {
-                        *gv = (sigmoid_scalar(*gv) - yv) * scale;
-                    }
-                    g
-                }),
-                None,
-            ],
-            &Op::Reshape(a) => [
-                self.adj(a, || {
-                    let (r, c) = val(a).shape();
-                    grad.reshape(r, c).expect("reshape backward")
-                }),
-                None,
-            ],
+            (&Op::SumAxisCols(a), _) => {
+                let (r, c) = val(a).shape();
+                Tensor::ones(r, c).mul(grad)
+            }
+            (&Op::SumSquares(a), _) => val(a).scale(2.0 * grad.item()),
+            (Op::BceWithLogits(x, targets), _) => {
+                let xv = val(*x);
+                let n = xv.len().max(1) as f32;
+                let scale = grad.item() / n;
+                let mut g = xv.clone();
+                for (gv, &yv) in g.data_mut().iter_mut().zip(targets.data()) {
+                    *gv = (sigmoid_scalar(*gv) - yv) * scale;
+                }
+                g
+            }
+            (&Op::Reshape(a), _) => {
+                let (r, c) = val(a).shape();
+                grad.reshape(r, c).expect("reshape backward")
+            }
             // adjoint of repeat = segment sum
-            &Op::RepeatRows(a, k) => [
-                self.adj(a, || {
-                    let (rk, c) = grad.shape();
-                    let r = rk / k;
-                    let mut g = Tensor::zeros(r, c);
-                    for row in 0..r {
-                        for j in 0..k {
-                            let s = grad.row_slice(row * k + j);
-                            for (o, &v) in g.row_slice_mut(row).iter_mut().zip(s) {
-                                *o += v;
-                            }
+            (&Op::RepeatRows(_, k), _) => {
+                let (rk, c) = grad.shape();
+                let r = rk / k;
+                let mut g = Tensor::zeros(r, c);
+                for row in 0..r {
+                    for j in 0..k {
+                        let s = grad.row_slice(row * k + j);
+                        for (o, &v) in g.row_slice_mut(row).iter_mut().zip(s) {
+                            *o += v;
                         }
                     }
-                    g
-                }),
-                None,
-            ],
+                }
+                g
+            }
             // adjoint of segment sum = repeat
-            &Op::SegmentSumRows(a, k) => [
-                self.adj(a, || {
-                    let (r, c) = grad.shape();
-                    let mut g = Tensor::zeros(r * k, c);
-                    for row in 0..r {
-                        let s = grad.row_slice(row);
-                        for j in 0..k {
-                            g.row_slice_mut(row * k + j).copy_from_slice(s);
-                        }
+            (&Op::SegmentSumRows(_, k), _) => {
+                let (r, c) = grad.shape();
+                let mut g = Tensor::zeros(r * k, c);
+                for row in 0..r {
+                    let s = grad.row_slice(row);
+                    for j in 0..k {
+                        g.row_slice_mut(row * k + j).copy_from_slice(s);
                     }
-                    g
-                }),
-                None,
-            ],
+                }
+                g
+            }
         }
     }
 
@@ -705,8 +636,12 @@ impl Tape {
             // node i's backward kernel (adjoint computation plus the
             // accumulate into its parents).
             let timer = profile::op_start();
-            for (parent, contribution) in self.adjoints(i, &grad).into_iter().flatten() {
-                self.accumulate(parent, contribution);
+            for (slot, parent) in self.nodes[i].op.parents().into_iter().enumerate() {
+                // Only a parent that needs a gradient gets one computed.
+                if let Some(p) = parent.filter(|p| self.nodes[p.0].needs_grad) {
+                    let contribution = self.adjoint(i, slot, &grad);
+                    self.accumulate(p, contribution);
+                }
             }
             self.nodes[i].grad = Some(grad);
             if let Some(t) = timer {
