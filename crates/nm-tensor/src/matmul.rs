@@ -6,12 +6,13 @@
 //! ascending, and rounds each product before adding it: no `mul_add`
 //! and no FMA contraction, which Rust never introduces on its own.
 //! `matmul` and `matmul_tn` start each sum at `+0.0`. `matmul_nt` starts
-//! at `-0.0`, which is where `Iterator::sum` on `f32` starts, like
-//! [`Tensor::rowwise_dot`] and [`vecmat_nt_blocked`]. Tiling and
-//! blocking split only the output's row and column axes, so no
-//! element's accumulation is ever reordered: the results are
-//! bit-identical to the plain reference loops below, and checkpoints,
-//! snapshots and golden logs do not move when a kernel changes.
+//! at `-0.0`, which is where `Iterator::sum` on `f32` starts; so do
+//! [`Tensor::rowwise_dot`] and [`vecmat_nt_blocked`], which use that
+//! sum. Tiling and blocking split only the output's row and column
+//! axes, so no element's accumulation is ever reordered: the results
+//! are bit-identical to the plain reference loops below, and
+//! checkpoints, snapshots and golden logs do not move when a kernel
+//! changes.
 //!
 //! # Register tiles
 //!
