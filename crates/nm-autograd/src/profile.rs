@@ -101,12 +101,13 @@ pub(crate) fn op_start() -> Option<OpTimer> {
     })
 }
 
-/// Benchmark probe for the disabled path: runs exactly what an
-/// instrumented op runs when profiling is off ([`op_start`] taking its
-/// early-out and returning `None`). Public so `nm-bench` can gate the
-/// one-relaxed-load contract (`profile.overhead_ns`) without reaching
-/// into crate internals. Returns whether the probe stayed on the
-/// disabled path, so callers can `black_box` something real.
+/// Probe for the disabled path: runs exactly what an instrumented op
+/// runs when profiling is off ([`op_start`] taking its early-out and
+/// returning `None`). Public so the bound test in
+/// `tests/disabled_probe.rs` can hold the one-relaxed-load contract
+/// without reaching into crate internals. Returns whether the probe
+/// stayed on the disabled path, so callers can `black_box` something
+/// real.
 #[inline]
 pub fn disabled_probe() -> bool {
     op_start().is_none()

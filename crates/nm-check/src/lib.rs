@@ -31,6 +31,8 @@ pub mod lint;
 pub mod sched;
 pub mod shape;
 
+use nm_obs::json::escape;
+
 /// Which analysis pass produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
@@ -82,24 +84,6 @@ impl Diagnostic {
     }
 }
 
-/// Minimal JSON string escaping for report emission (the workspace has
-/// no serde; mirrors nm-serve's hand-rolled encoder).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders diagnostics as a JSON array (machine-readable report).
 pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");
@@ -108,11 +92,11 @@ pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"pass\":\"{}\",\"rule\":\"{}\",\"location\":\"{}\",\"message\":\"{}\"}}",
+            "{{\"pass\":\"{}\",\"rule\":{},\"location\":{},\"message\":{}}}",
             d.pass.name(),
-            json_escape(&d.rule),
-            json_escape(&d.location),
-            json_escape(&d.message)
+            escape(&d.rule),
+            escape(&d.location),
+            escape(&d.message)
         ));
     }
     out.push(']');

@@ -3,6 +3,8 @@
 //! green production run is evidence, not vacuous.
 //!
 //! Coverage of the acceptance list:
+//!
+//! ```text
 //! 1. shape mismatch            -> shape/matmul + shape/mismatch
 //! 2. illegal broadcast         -> shape/broadcast
 //! 3. graph cycle               -> shape/cycle
@@ -23,6 +25,7 @@
 //! 17. non-atomic respawn check -> sched final-state       (real core, virtualized)
 //! 18. over-capacity ring       -> sched final-state       (real core, virtualized)
 //! 19. watermark re-read leak   -> sched final-state       (real core, virtualized)
+//! ```
 //!
 //! Items 9, 10, 14, 16, 17, 18, 19 seed their bug into the *production*
 //! `nm-sync` core (via its default-off bug knob) and model-check the

@@ -9,13 +9,15 @@
 //!
 //! `--require-injections/--require-breaker-opens/--require-degraded`
 //! turn the printed report into a CI gate (non-zero exit when unmet),
-//! and `--trace-out` captures the schema-v1 trace (`chaos.inject`,
-//! `serve.restart`, breaker transitions) for `nmcdr obs validate`.
+//! and `--trace-out` captures the first run's schema-v1 trace
+//! (`chaos.inject`, `serve.restart`, breaker transitions) for
+//! `nmcdr obs validate`.
 
 use crate::args::Args;
+use nm_obs::json::Json;
 use nm_serve::{
-    BreakerConfig, ChaosConfig, DomainSnapshot, Engine, EngineConfig, HeadKind, Json,
-    ResilienceConfig, Server, ServerConfig, Snapshot,
+    BreakerConfig, ChaosConfig, DomainSnapshot, Engine, EngineConfig, HeadKind, ResilienceConfig,
+    Server, ServerConfig, Snapshot,
 };
 use nm_tensor::{Tensor, TensorRng};
 use std::io::{BufRead, BufReader, Write};
@@ -171,10 +173,14 @@ pub fn chaos(args: &Args) -> Result<(), String> {
         Ok(d)
     };
     let first = run("1")?;
-    let second = run("2")?;
+    // Trace the first run only: each run's flight-recorder ticks start
+    // at 0, and a trace's `obs.sample` ticks must strictly increase.
+    // The second run then also shows that tracing moves no byte of the
+    // transcript.
     if trace_out.is_some() {
         nm_obs::trace::shutdown();
     }
+    let second = run("2")?;
     std::fs::remove_dir_all(&dir).ok();
 
     // Determinism: byte-identical transcripts, identical counters.

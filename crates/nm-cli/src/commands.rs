@@ -5,6 +5,7 @@ use nm_bench::{nmcdr_config, ExpProfile, ModelKind};
 use nm_data::generate::generate as generate_dataset;
 use nm_data::{CdrDataset, Scenario};
 use nm_models::{train_joint_ft, CdrModel, CdrTask, FtConfig, TaskConfig};
+use nm_obs::json::Json;
 use nmcdr_core::{Ablation, NmcdrModel};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -107,11 +108,6 @@ COMMANDS:
                       [--require-clean]
                       burn-rate replay: error-budget table and alert
                       transitions; --require-* gate the exit code
-  bench      perf-regression gate over a fixed serve+train suite
-             (--record | --compare) [--baseline results/BENCH_baseline.json]
-             [--runs 3]   median-of-runs, per-metric relative tolerance
-             with an absolute noise floor; --compare exits non-zero on
-             regression (wired into scripts/ci.sh)
   check      static analysis: symbolic shape/graph verification over all
              models, workspace invariant lints, schedule-exploring
              concurrency checks
@@ -763,62 +759,19 @@ pub fn query(args: &Args) -> Result<(), String> {
     if op == "trace" {
         // Print the embedded trace document raw, so the output can be
         // piped straight into a file and fed to `obs flame`/`validate`.
-        let v = nm_serve::Json::parse(resp.trim())
-            .map_err(|e| format!("malformed server response: {e}"))?;
-        if v.get("ok").and_then(nm_serve::Json::as_bool) != Some(true) {
+        let v = Json::parse(resp.trim()).map_err(|e| format!("malformed server response: {e}"))?;
+        if v.get("ok").and_then(Json::as_bool) != Some(true) {
             return Err(format!("server error: {}", resp.trim_end()));
         }
         let text = v
             .get("trace")
-            .and_then(nm_serve::Json::as_str)
+            .and_then(Json::as_str)
             .ok_or("server response missing 'trace' field")?;
         print!("{text}");
         return Ok(());
     }
     println!("{}", resp.trim_end());
     Ok(())
-}
-
-/// `nmcdr bench (--record | --compare)` — the perf-regression gate;
-/// see [`nm_bench::regress`] for the metric suite and thresholds.
-pub fn bench(args: &Args) -> Result<(), String> {
-    use nm_bench::regress;
-    let runs: usize = args.parse_or("runs", 3)?;
-    let baseline_path = PathBuf::from(
-        args.get("baseline")
-            .unwrap_or("results/BENCH_baseline.json"),
-    );
-    let record = args.flag("record");
-    let compare = args.flag("compare");
-    if record == compare {
-        return Err("pass exactly one of --record or --compare".into());
-    }
-    println!("measuring perf suite ({runs} run(s), median per metric)…");
-    let current = regress::measure(runs)?;
-    for def in regress::METRICS {
-        if let Some(v) = current.get(def.name) {
-            println!("  {:<22} {v:>12.1}{}", def.name, def.unit);
-        }
-    }
-    regress::append_trajectory(&current, if record { "record" } else { "compare" });
-    if record {
-        regress::write_baseline(&baseline_path, &current)
-            .map_err(|e| format!("cannot write baseline '{}': {e}", baseline_path.display()))?;
-        println!("baseline written to {}", baseline_path.display());
-        return Ok(());
-    }
-    let baseline = regress::read_baseline(&baseline_path)?;
-    let verdicts = regress::compare(&current, &baseline);
-    print!("{}", regress::render_report(&verdicts));
-    if regress::any_regression(&verdicts) {
-        Err(format!(
-            "performance regression against {}",
-            baseline_path.display()
-        ))
-    } else {
-        println!("no regression against {}", baseline_path.display());
-        Ok(())
-    }
 }
 
 /// `nmcdr obs <report|validate|flame|tail|slo|profile>` — see

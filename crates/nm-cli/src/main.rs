@@ -28,7 +28,6 @@
 //! nmcdr obs tail     --series chaos-series.jsonl --window 20
 //! nmcdr obs slo      --series chaos-series.jsonl --require-alerts 1
 //! nmcdr query    --addr 127.0.0.1:7878 --op trace > exemplars.jsonl
-//! nmcdr bench    --record            # then later: nmcdr bench --compare
 //! ```
 //!
 //! Argument parsing is deliberately dependency-free (`--key value`
@@ -81,7 +80,6 @@ fn main() -> ExitCode {
         "stream" => commands::stream(&parsed),
         "serve" => commands::serve(&parsed),
         "query" => commands::query(&parsed),
-        "bench" => commands::bench(&parsed),
         "obs" => commands::obs(action.as_deref().unwrap_or(""), &parsed),
         "check" => check::check(&parsed),
         "chaos" => chaos::chaos(&parsed),

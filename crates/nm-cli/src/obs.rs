@@ -124,8 +124,8 @@ fn series(action: &str, args: &Args) -> Result<(), String> {
 /// Compare mode is the differential gate: deterministic counters must
 /// match *exactly* (any drift in the op stream, the cost model, or
 /// allocation traffic fails), while per-op self-times are compared
-/// under `nmcdr bench`-style noise-aware thresholds — both the
-/// relative tolerance AND the absolute floor must be exceeded to fail.
+/// under noise-aware thresholds — both the relative tolerance AND the
+/// absolute floor must be exceeded to fail.
 /// Exits non-zero on regression, so CI can gate on it.
 fn kernel_profile(args: &Args) -> Result<(), String> {
     let read = |path: &str| -> Result<String, String> {

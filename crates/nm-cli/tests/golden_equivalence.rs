@@ -49,10 +49,13 @@ fn assert_identical(got: &Path, want: &Path) {
 /// stalls, torn frames, reload failures, forced deadline expiries) over
 /// a live server. The flight-recorder series dump excludes latency and
 /// anything schedule-dependent, so a fixed seed pins every counter.
+/// The drill runs traced, as ci.sh runs it: tracing must not move a
+/// byte of the dump, and the trace must pass the strict schema parser.
 #[test]
 fn chaos_series_dump_matches_pre_refactor_golden() {
     let dir = scratch("chaos");
     let series = dir.join("series.jsonl");
+    let trace = dir.join("trace.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_nmcdr"))
         .args([
             "chaos",
@@ -65,6 +68,8 @@ fn chaos_series_dump_matches_pre_refactor_golden() {
         ])
         .arg("--series-out")
         .arg(&series)
+        .arg("--trace-out")
+        .arg(&trace)
         .output()
         .expect("run nmcdr chaos");
     assert!(
@@ -74,6 +79,10 @@ fn chaos_series_dump_matches_pre_refactor_golden() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert_identical(&series, &fixture("golden_chaos_series.jsonl"));
+    let text = std::fs::read_to_string(&trace).expect("read chaos trace");
+    if let Err(e) = nm_obs::parse_trace(&text) {
+        panic!("chaos trace fails strict parsing: {e}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -20,8 +20,10 @@ fn tiny_task() -> Rc<CdrTask> {
     cfg.n_items_b = 28;
     cfg.n_overlap = 20;
     let data = nm_data::generate::generate(&cfg);
-    let mut t = TaskConfig::default();
-    t.eval_negatives = 20;
+    let t = TaskConfig {
+        eval_negatives: 20,
+        ..Default::default()
+    };
     CdrTask::build(data, t)
 }
 
@@ -75,9 +77,7 @@ fn roundtrip_parity<M: CdrModel + FrozenModel + Module>(tag: &str, mut trained: 
     trained.prepare_eval();
     for (z, domain) in [(0usize, Domain::A), (1usize, Domain::B)] {
         let n_items = engine.snapshot().n_items(z) as u32;
-        let users: Vec<u32> = (0..6u32)
-            .flat_map(|u| std::iter::repeat(u).take(4))
-            .collect();
+        let users: Vec<u32> = (0..6u32).flat_map(|u| std::iter::repeat_n(u, 4)).collect();
         let items: Vec<u32> = (0..users.len() as u32).map(|i| i % n_items).collect();
         let offline = trained.eval_scores(domain, &users, &items);
         let online = engine.score(z, &users, &items);

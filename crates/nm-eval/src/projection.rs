@@ -190,10 +190,8 @@ mod tests {
         let mut rng = TensorRng::seed_from(5);
         let n = 100;
         let mut x = Tensor::zeros(n, 3);
-        let mut mask = vec![false; n];
-        for i in 0..n {
-            let head = i < 40;
-            mask[i] = head;
+        let mask: Vec<bool> = (0..n).map(|i| i < 40).collect();
+        for (i, &head) in mask.iter().enumerate() {
             let offset = if head { 5.0 } else { -5.0 };
             for j in 0..3 {
                 x.set(i, j, offset + rng.normal());

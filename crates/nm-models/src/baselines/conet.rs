@@ -154,8 +154,10 @@ mod tests {
         cfg.n_items_a = 50;
         cfg.n_items_b = 50;
         cfg.n_overlap = 50;
-        let mut t = TaskConfig::default();
-        t.eval_negatives = 40;
+        let t = TaskConfig {
+            eval_negatives: 40,
+            ..Default::default()
+        };
         CdrTask::build(generate(&cfg), t)
     }
 

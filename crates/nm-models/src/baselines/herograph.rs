@@ -265,8 +265,10 @@ mod tests {
         cfg.n_items_b = 40;
         cfg.n_overlap = 30;
         let data = generate(&cfg).with_overlap_ratio(ratio, 3);
-        let mut t = TaskConfig::default();
-        t.eval_negatives = 30;
+        let t = TaskConfig {
+            eval_negatives: 30,
+            ..Default::default()
+        };
         CdrTask::build(data, t)
     }
 

@@ -208,8 +208,10 @@ mod tests {
         cfg.n_items_b = 45;
         cfg.n_overlap = 40;
         let data = generate(&cfg).with_overlap_ratio(ratio, 3);
-        let mut t = TaskConfig::default();
-        t.eval_negatives = 40;
+        let t = TaskConfig {
+            eval_negatives: 40,
+            ..Default::default()
+        };
         CdrTask::build(data, t)
     }
 

@@ -180,8 +180,10 @@ mod tests {
         cfg.n_items_b = 55;
         cfg.n_overlap = 60;
         let data = generate(&cfg).with_overlap_ratio(overlap_ratio, 5);
-        let mut t = TaskConfig::default();
-        t.eval_negatives = 50;
+        let t = TaskConfig {
+            eval_negatives: 50,
+            ..Default::default()
+        };
         CdrTask::build(data, t)
     }
 

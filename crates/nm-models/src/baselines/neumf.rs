@@ -138,8 +138,10 @@ mod tests {
         cfg.n_items_a = 50;
         cfg.n_items_b = 50;
         cfg.n_overlap = 25;
-        let mut t = TaskConfig::default();
-        t.eval_negatives = 50;
+        let t = TaskConfig {
+            eval_negatives: 50,
+            ..Default::default()
+        };
         CdrTask::build(generate(&cfg), t)
     }
 

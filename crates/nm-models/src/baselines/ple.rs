@@ -138,8 +138,10 @@ mod tests {
         cfg.n_items_a = 45;
         cfg.n_items_b = 40;
         cfg.n_overlap = 40;
-        let mut t = TaskConfig::default();
-        t.eval_negatives = 40;
+        let t = TaskConfig {
+            eval_negatives: 40,
+            ..Default::default()
+        };
         CdrTask::build(generate(&cfg), t)
     }
 

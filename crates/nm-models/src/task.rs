@@ -238,8 +238,10 @@ mod tests {
         cfg.n_items_b = 70;
         cfg.n_overlap = 40;
         let data = generate(&cfg);
-        let mut tc = TaskConfig::default();
-        tc.validation = true;
+        let tc = TaskConfig {
+            validation: true,
+            ..Default::default()
+        };
         let t = CdrTask::build(data, tc);
         assert!(!t.valid_eval_a.is_empty());
         assert_eq!(t.valid_eval_a.len(), t.split_a.valid.len());

@@ -765,8 +765,10 @@ mod tests {
         cfg.n_items_a = 60;
         cfg.n_items_b = 60;
         cfg.n_overlap = 40;
-        let mut t = TaskConfig::default();
-        t.eval_negatives = 50;
+        let t = TaskConfig {
+            eval_negatives: 50,
+            ..Default::default()
+        };
         CdrTask::build(generate(&cfg), t)
     }
 
@@ -819,9 +821,11 @@ mod tests {
         cfg.n_items_a = 60;
         cfg.n_items_b = 60;
         cfg.n_overlap = 40;
-        let mut tc = TaskConfig::default();
-        tc.eval_negatives = 50;
-        tc.validation = true;
+        let tc = TaskConfig {
+            eval_negatives: 50,
+            validation: true,
+            ..Default::default()
+        };
         let task = CdrTask::build(generate(&cfg), tc);
         assert!(!task.valid_eval_a.is_empty());
         let mut model = TinyMf::new(task, 11);

@@ -522,7 +522,7 @@ mod tests {
         let mut buf = Vec::new();
         save_params(&refs, &mut buf).unwrap();
         let mut rng = TensorRng::seed_from(9);
-        let dst = vec![
+        let dst = [
             Param::new("layer.w", Tensor::randn(4, 3, 1.0, &mut rng)), // transposed shape
             Param::new("layer.b", Tensor::randn(1, 4, 1.0, &mut rng)),
             Param::new("emb", Tensor::randn(10, 4, 1.0, &mut rng)),

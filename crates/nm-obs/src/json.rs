@@ -381,6 +381,12 @@ mod tests {
     }
 
     #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         for bad in [
             "",

@@ -52,7 +52,6 @@ pub mod profile;
 pub mod report;
 pub mod series;
 pub mod slo;
-mod sync;
 pub mod trace;
 
 pub use flame::{critical_path, fold, render_collapsed, render_svg, CriticalPathRow};

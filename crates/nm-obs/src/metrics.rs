@@ -7,7 +7,8 @@
 //! `serve.requests`, `serve.cache.hits`, `train.grad_norm`. Histograms
 //! carry their unit as the last path segment (`serve.latency_us`).
 
-use crate::sync::lock;
+use crate::json::escape;
+use nm_sync::backend::lock_recover;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -269,7 +270,7 @@ impl Registry {
 
     /// Get-or-create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         Arc::clone(
             inner
                 .counters
@@ -280,7 +281,7 @@ impl Registry {
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         Arc::clone(
             inner
                 .gauges
@@ -292,7 +293,7 @@ impl Registry {
     /// Get-or-create the histogram `name`. The bounds apply only on
     /// first registration; later callers get the existing histogram.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         Arc::clone(
             inner
                 .histograms
@@ -303,7 +304,7 @@ impl Registry {
 
     /// Point-in-time snapshot of every registered metric, names sorted.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = lock(&self.inner);
+        let inner = lock_recover(&self.inner);
         RegistrySnapshot {
             counters: inner
                 .counters
@@ -326,7 +327,7 @@ impl Registry {
     /// Raw snapshot — bucket-level histograms instead of derived
     /// statistics — for the flight recorder's delta computation.
     pub fn raw_snapshot(&self) -> RawSnapshot {
-        let inner = lock(&self.inner);
+        let inner = lock_recover(&self.inner);
         RawSnapshot {
             counters: inner
                 .counters
@@ -374,14 +375,14 @@ impl RegistrySnapshot {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{}:{v}", escape_json(k));
+            let _ = write!(s, "{}:{v}", escape(k));
         }
         s.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{}:{}", escape_json(k), json_f64(*v));
+            let _ = write!(s, "{}:{}", escape(k), json_f64(*v));
         }
         s.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -391,7 +392,7 @@ impl RegistrySnapshot {
             let _ = write!(
                 s,
                 "{}:{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"overflow_count\":{}}}",
-                escape_json(k),
+                escape(k),
                 h.count,
                 h.mean,
                 h.p50,
@@ -413,27 +414,6 @@ pub(crate) fn json_f64(x: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Escapes a string as a JSON string literal (with quotes).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -550,11 +530,5 @@ mod tests {
         assert!(json.contains("\"a.one\":1"));
         assert!(json.contains("\"overflow_count\":0"));
         assert!(!json.contains('\n'));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(escape_json("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -17,16 +17,15 @@
 //! * **Measured self-times** (`obs.profile.time`) and the micro-probed
 //!   machine peaks (`obs.profile.peaks`) are emitted into the normal
 //!   trace, which is already understood to be machine-dependent.
-//!   [`compare`] diffs them under noise-aware thresholds (relative
-//!   tolerance plus an absolute floor, same semantics as `nmcdr bench`).
+//!   [`compare`] diffs them under noise-aware thresholds: a time fails
+//!   only past both a relative tolerance and an absolute floor.
 //!
 //! Both files use the trace line schema (version 1) and are parsed by
 //! the same strict parser as every other trace — unknown fields, type
 //! mismatches, and non-monotonic tick ordinals are errors.
 
 use crate::clock::Stopwatch;
-use crate::json::Json;
-use crate::metrics::escape_json;
+use crate::json::{escape, Json};
 use crate::parse::parse_trace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -128,7 +127,7 @@ pub fn render_dump(ops: &[OpCounters], alloc: &AllocSummary) -> String {
              \"fwd_bytes\":{},\"bwd_bytes\":{},\"alloc_b\":{},\"freed_b\":{}}}}}",
             i + 1,
             i,
-            escape_json(&op.kind),
+            escape(&op.kind),
             op.fwd_calls,
             op.bwd_calls,
             op.fwd_flops,

@@ -21,8 +21,8 @@
 //! [`WindowStats`]/[`HistWindow`] (fold + quantiles) → the SLO engine
 //! in [`crate::slo`] (burn rates over fast/slow windows).
 
-use crate::json::Json;
-use crate::metrics::{escape_json, RawSnapshot, Registry};
+use crate::json::{escape, Json};
+use crate::metrics::{RawSnapshot, Registry};
 use nm_sync::{DeltaRing, StdBackend};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -104,14 +104,14 @@ impl TickDelta {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{}:{v}", escape_json(k));
+            let _ = write!(s, "{}:{v}", escape(k));
         }
         s.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{}:{}", escape_json(k), crate::metrics::json_f64(*v));
+            let _ = write!(s, "{}:{}", escape(k), crate::metrics::json_f64(*v));
         }
         s.push_str("},\"hists\":{");
         for (i, (k, h)) in self.hists.iter().enumerate() {
@@ -121,7 +121,7 @@ impl TickDelta {
             let _ = write!(
                 s,
                 "{}:{{\"bounds\":{},\"buckets\":{},\"count\":{},\"sum\":{},\"max\":{}}}",
-                escape_json(k),
+                escape(k),
                 int_array(&h.bounds),
                 int_array(&h.buckets),
                 h.count,

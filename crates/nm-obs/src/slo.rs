@@ -19,8 +19,8 @@
 use crate::json::Json;
 use crate::metrics::Registry;
 use crate::series::{FlightRecorder, RecorderConfig, TickDelta, WindowStats};
-use crate::sync::lock;
 use crate::{clock::Stopwatch, trace};
+use nm_sync::backend::lock_recover;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -460,7 +460,7 @@ impl Telemetry {
         let sw = Stopwatch::start();
         let tick = self.recorder.tick(registry);
         let ticks = self.recorder.ticks();
-        let decisions = lock(&self.engine).evaluate(&ticks);
+        let decisions = lock_recover(&self.engine).evaluate(&ticks);
         for d in &decisions {
             if !d.changed {
                 continue;
@@ -477,7 +477,7 @@ impl Telemetry {
                     e.s("slo", &d.slo).u("tick", d.tick);
                 });
             }
-            lock(&self.transitions).push(d.clone());
+            lock_recover(&self.transitions).push(d.clone());
         }
         let self_us = sw.elapsed_us();
         registry
@@ -491,7 +491,7 @@ impl Telemetry {
 
     /// Every alert transition (fire/resolve) observed so far.
     pub fn transitions(&self) -> Vec<SloDecision> {
-        lock(&self.transitions).clone()
+        lock_recover(&self.transitions).clone()
     }
 
     /// The deterministic transition log: one [`SloDecision::render`]
@@ -508,7 +508,7 @@ impl Telemetry {
     /// by one `tick` line per retained tick. Byte-identical across
     /// same-seed runs when wall-clock metrics are excluded.
     pub fn dump(&self) -> String {
-        let specs = lock(&self.engine).specs().to_vec();
+        let specs = lock_recover(&self.engine).specs().to_vec();
         let mut out = format!(
             "{{\"t\":\"series_meta\",\"version\":1,\"capacity\":{},\"dropped\":{},\"next_tick\":{},\"slos\":{}}}\n",
             self.recorder.capacity(),
@@ -559,7 +559,7 @@ impl Telemetry {
                 })
                 .collect(),
         );
-        let budget = lock(&self.engine).budget(view);
+        let budget = lock_recover(&self.engine).budget(view);
         let slos = Json::Arr(
             budget
                 .iter()

@@ -34,8 +34,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::metrics::{escape_json, json_f64};
-use crate::sync::{lock, read, write};
+use crate::json::escape;
+use crate::metrics::json_f64;
+use nm_sync::backend::{lock_recover, read_recover, write_recover};
 
 /// Destination for trace lines. Implementations must be safe to call
 /// from multiple threads (emission is additionally serialized by the
@@ -65,12 +66,12 @@ impl FileSink {
 
 impl TraceSink for FileSink {
     fn write_line(&self, line: &str) {
-        let mut w = lock(&self.w);
+        let mut w = lock_recover(&self.w);
         let _ = writeln!(w, "{line}");
     }
 
     fn flush(&self) {
-        let _ = lock(&self.w).flush();
+        let _ = lock_recover(&self.w).flush();
     }
 }
 
@@ -86,13 +87,13 @@ impl MemorySink {
     }
 
     pub fn lines(&self) -> Vec<String> {
-        lock(&self.lines).clone()
+        lock_recover(&self.lines).clone()
     }
 }
 
 impl TraceSink for MemorySink {
     fn write_line(&self, line: &str) {
-        lock(&self.lines).push(line.to_string());
+        lock_recover(&self.lines).push(line.to_string());
     }
 }
 
@@ -112,7 +113,7 @@ impl Tracer {
     }
 
     fn emit(&self, build: impl FnOnce(u64) -> String) {
-        let mut seq = lock(&self.seq);
+        let mut seq = lock_recover(&self.seq);
         let line = build(*seq);
         *seq += 1;
         self.sink.write_line(&line);
@@ -132,7 +133,7 @@ pub fn enabled() -> bool {
 }
 
 fn current() -> Option<Arc<Tracer>> {
-    read(&TRACER).clone()
+    read_recover(&TRACER).clone()
 }
 
 /// Installs `sink` as the process-global tracer and writes the meta
@@ -146,7 +147,7 @@ pub fn install(sink: Arc<dyn TraceSink>) {
     tracer.emit(|seq| {
         format!("{{\"t\":\"meta\",\"version\":1,\"clock\":\"monotonic_us\",\"seq\":{seq}}}")
     });
-    *write(&TRACER) = Some(tracer);
+    *write_recover(&TRACER) = Some(tracer);
     ENABLED.store(true, Ordering::SeqCst);
 }
 
@@ -160,7 +161,7 @@ pub fn init_file<P: AsRef<Path>>(path: P) -> io::Result<()> {
 /// handle to the old sink and finish writing there.
 pub fn shutdown() {
     ENABLED.store(false, Ordering::SeqCst);
-    let t = write(&TRACER).take();
+    let t = write_recover(&TRACER).take();
     if let Some(t) = t {
         t.sink.flush();
     }
@@ -296,7 +297,7 @@ impl Drop for SpanGuard {
         a.tracer.emit(|seq| {
             format!(
                 "{{\"t\":\"span\",\"name\":{},\"start_us\":{},\"dur_us\":{},\"self_us\":{},\"depth\":{},\"tid\":{},\"seq\":{}}}",
-                escape_json(a.name),
+                escape(a.name),
                 a.start_us,
                 dur_us,
                 self_us,
@@ -354,7 +355,7 @@ impl EventBuilder {
         if !self.fields.is_empty() {
             self.fields.push(',');
         }
-        let _ = write!(self.fields, "{}:", escape_json(k));
+        let _ = write!(self.fields, "{}:", escape(k));
         &mut self.fields
     }
 
@@ -375,7 +376,7 @@ impl EventBuilder {
     }
 
     pub fn s(&mut self, k: &str, v: &str) -> &mut Self {
-        let s = escape_json(v);
+        let s = escape(v);
         let _ = write!(self.key(k), "{s}");
         self
     }
@@ -400,7 +401,7 @@ pub fn event(name: &str, build: impl FnOnce(&mut EventBuilder)) {
     tracer.emit(|seq| {
         format!(
             "{{\"t\":\"event\",\"name\":{},\"at_us\":{},\"tid\":{},\"seq\":{},\"f\":{{{}}}}}",
-            escape_json(name),
+            escape(name),
             at_us,
             tid,
             seq,

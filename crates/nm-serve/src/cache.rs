@@ -4,7 +4,7 @@
 //! every cached list even before the physical `clear()` runs — a stale
 //! epoch can never be looked up again.
 
-use crate::sync::lock;
+use nm_sync::backend::lock_recover;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -89,22 +89,22 @@ impl ShardedLru {
 
     /// Looks up and refreshes recency.
     pub fn get(&self, key: &CacheKey) -> Option<CachedList> {
-        lock(&self.shards[self.shard_of(key)]).touch(key)
+        lock_recover(&self.shards[self.shard_of(key)]).touch(key)
     }
 
     pub fn insert(&self, key: CacheKey, value: CachedList) {
-        lock(&self.shards[self.shard_of(&key)]).insert(key, value);
+        lock_recover(&self.shards[self.shard_of(&key)]).insert(key, value);
     }
 
     /// Drops every entry (snapshot reload).
     pub fn clear(&self) {
         for s in &self.shards {
-            lock(s).map.clear();
+            lock_recover(s).map.clear();
         }
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
+        self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -40,11 +40,11 @@ use crate::chaos::{seeded_backoff, Chaos, ChaosConfig, Deadline};
 use crate::reqtrace::{DegradedKind, ExemplarRing, ReqTiming};
 use crate::snapshot::Snapshot;
 use crate::stats::Stats;
-use crate::sync::{lock, read, wait, write};
 use nm_eval::harness::{rank_order, Scorer};
 use nm_nn::checkpoint::CheckpointError;
 use nm_obs::clock::Stopwatch;
 use nm_obs::{Counter, SloDecision, Telemetry, TelemetryConfig};
+use nm_sync::backend::{lock_recover, read_recover, wait_recover, write_recover};
 use nm_sync::{BatchQueue, BreakerBank, Slot, StdBackend};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -106,11 +106,6 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Slowest-request exemplars retained for `{"op":"trace"}`.
     pub exemplar_capacity: usize,
-    /// Run the top-K merge `merge_slowdown` times (≥ 1). Anything above
-    /// 1 is a deliberate perf-bug injection used by `scripts/ci.sh` to
-    /// prove the bench regression gate actually fires; overridable via
-    /// the `NMCDR_BENCH_SLOW_MERGE` env var.
-    pub merge_slowdown: u32,
     /// Retry/breaker/degraded-mode tuning.
     pub resilience: ResilienceConfig,
     /// Deterministic fault injection (None/disabled in production).
@@ -132,11 +127,6 @@ impl Default for EngineConfig {
             cache_capacity: 4096,
             cache_shards: 8,
             exemplar_capacity: 32,
-            merge_slowdown: std::env::var("NMCDR_BENCH_SLOW_MERGE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1)
-                .max(1),
             resilience: ResilienceConfig::default(),
             chaos: None,
             telemetry: TelemetryConfig::default(),
@@ -238,7 +228,7 @@ fn worker_main(shared: &PoolShared, panics: &Counter) {
     let _live = LiveGuard(&shared.live);
     loop {
         let job = {
-            let mut q = lock(&shared.jobs);
+            let mut q = lock_recover(&shared.jobs);
             loop {
                 if let Some(job) = q.pop_front() {
                     break job;
@@ -246,7 +236,7 @@ fn worker_main(shared: &PoolShared, panics: &Counter) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                q = wait(&shared.available, q);
+                q = wait_recover(&shared.available, q);
             }
         };
         if catch_unwind(AssertUnwindSafe(job)).is_err() {
@@ -321,7 +311,7 @@ impl SupervisedPool {
         if self.live() == 0 {
             return;
         }
-        lock(&self.shared.jobs).push_back(job);
+        lock_recover(&self.shared.jobs).push_back(job);
         self.shared.available.notify_one();
     }
 }
@@ -403,7 +393,7 @@ impl Latch {
     }
 
     fn count_down(&self) {
-        let mut left = lock(&self.left);
+        let mut left = lock_recover(&self.left);
         *left -= 1;
         if *left == 0 {
             self.done.notify_all();
@@ -411,9 +401,9 @@ impl Latch {
     }
 
     fn wait(&self) {
-        let mut left = lock(&self.left);
+        let mut left = lock_recover(&self.left);
         while *left > 0 {
-            left = wait(&self.done, left);
+            left = wait_recover(&self.done, left);
         }
     }
 }
@@ -522,7 +512,7 @@ fn drain_worklist(a: &AttemptCtx) {
             staged.push(local.into_unordered().collect());
         }
         for (r, chunk) in staged.into_iter().enumerate() {
-            lock(&b.candidates[r]).extend(chunk);
+            lock_recover(&b.candidates[r]).extend(chunk);
         }
         guard.done();
     }
@@ -652,12 +642,12 @@ impl Engine {
 
     /// The live snapshot.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&read(&self.versioned).snap)
+        Arc::clone(&read_recover(&self.versioned).snap)
     }
 
     /// The live `(epoch, snapshot)` pair, read coherently.
     fn current(&self) -> (u64, Arc<Snapshot>) {
-        let g = read(&self.versioned);
+        let g = read_recover(&self.versioned);
         (g.epoch, Arc::clone(&g.snap))
     }
 
@@ -684,7 +674,7 @@ impl Engine {
             return Err(e);
         }
         {
-            let mut g = write(&self.versioned);
+            let mut g = write_recover(&self.versioned);
             g.epoch += 1;
             g.snap = Arc::new(snapshot);
             self.epoch_mirror.store(g.epoch, Ordering::Release);
@@ -1116,19 +1106,11 @@ impl Engine {
 
         let merge_sw = Stopwatch::start();
         let _merge_span = nm_obs::trace::span("serve.merge");
-        let slowdown = self.cfg.merge_slowdown.max(1);
         let lists = batch
             .iter()
             .enumerate()
             .map(|(r, req)| {
-                let mut pool = lock(&ctx.candidates[r]);
-                // Injected perf bug for the CI gate self-test: redo the
-                // sort on throwaway clones of the unsorted pool.
-                for _ in 1..slowdown {
-                    let mut again = pool.clone();
-                    again.sort_by(rank_order);
-                    std::hint::black_box(&again);
-                }
+                let mut pool = lock_recover(&ctx.candidates[r]);
                 // Shard append order varies with scheduling; the total
                 // order of rank_order makes the final sort canonical.
                 pool.sort_by(rank_order);
@@ -1325,30 +1307,6 @@ mod tests {
         assert_eq!(t2.fanout_us, 0);
         assert_eq!(t2.merge_us, 0);
         assert!(!t2.coalesced);
-    }
-
-    #[test]
-    fn merge_slowdown_injection_does_not_change_results() {
-        let mk = |slowdown| {
-            Engine::new(
-                snapshot(100, 7),
-                EngineConfig {
-                    n_workers: 2,
-                    shard_items: 16,
-                    cache_capacity: 0,
-                    merge_slowdown: slowdown,
-                    ..Default::default()
-                },
-            )
-            .expect("valid test snapshot")
-        };
-        let fast = mk(1);
-        let slow = mk(4);
-        for user in [0u32, 5, 9] {
-            let (_, a) = fast.topk(0, user, 10);
-            let (_, b) = slow.topk(0, user, 10);
-            assert_eq!(a, b, "user {user}");
-        }
     }
 
     /// Reference top-k straight off a snapshot value (no engine).

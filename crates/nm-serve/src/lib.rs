@@ -15,8 +15,6 @@
 //! * [`reqtrace`] — per-request stage timing, the slowest-N exemplar
 //!   ring, and its rendering to the schema-v1 trace format (served by
 //!   the `trace` op);
-//! * [`json`] — the dependency-free JSON used on the wire (re-exported
-//!   from [`nm_obs::json`]);
 //! * [`supervise`] — a supervision tree for worker threads: restart
 //!   with deterministic backoff under a budget, then quarantine;
 //! * [`breaker`] — per-shard circuit breakers with pass-ordinal (not
@@ -32,20 +30,17 @@ pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod engine;
-pub mod json;
 pub mod protocol;
 pub mod reqtrace;
 pub mod server;
 pub mod snapshot;
 pub mod stats;
 pub mod supervise;
-mod sync;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, ShardBreakers, Transition};
 pub use cache::{CacheKey, CachedList, ShardedLru};
 pub use chaos::{seeded_backoff, Chaos, ChaosConfig, Deadline};
 pub use engine::{Engine, EngineConfig, EngineScorer, ResilienceConfig};
-pub use json::Json;
 pub use protocol::Request;
 pub use reqtrace::{DegradedKind, Exemplar, ExemplarRing, ReqTiming, StageUs};
 pub use server::{Server, ServerConfig};

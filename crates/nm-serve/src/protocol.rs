@@ -16,7 +16,7 @@
 //! Every response carries `"ok":true|false`; errors add `"error"` with
 //! a message. See README "Serving" for the full schema.
 
-use crate::json::Json;
+use nm_obs::json::Json;
 
 /// A decoded client request.
 #[derive(Debug, Clone, PartialEq)]

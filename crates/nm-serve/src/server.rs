@@ -15,7 +15,8 @@ use crate::engine::Engine;
 use crate::protocol::{self, Request};
 use crate::reqtrace::DegradedKind;
 use crate::snapshot::Snapshot;
-use crate::sync::lock;
+use nm_obs::json::Json;
+use nm_sync::backend::lock_recover;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -94,7 +95,7 @@ struct Shared {
 
 impl Shared {
     fn drop_conn(&self, id: u64) {
-        lock(&self.conns).retain(|(cid, _)| *cid != id);
+        lock_recover(&self.conns).retain(|(cid, _)| *cid != id);
     }
 }
 
@@ -181,7 +182,7 @@ impl Server {
         let _ = TcpStream::connect(self.addr);
         // Unblock handlers parked in read on open client connections;
         // without this, drain waits out the idle timeout per handler.
-        for (_, s) in lock(&self.shared.conns).iter() {
+        for (_, s) in lock_recover(&self.shared.conns).iter() {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
         self.wait();
@@ -277,7 +278,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            lock(&shared.conns).push((conn_id, clone));
+            lock_recover(&shared.conns).push((conn_id, clone));
         }
         let conn_shared = Arc::clone(&shared);
         let spawned = thread::Builder::new()
@@ -417,7 +418,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
         if shutdown || shared.stopping.load(Ordering::Acquire) {
             // Wake the accept loop (it blocks in accept()) so it
             // observes the stop flag and exits.
-            if let Some(addr) = *lock(&shared.addr) {
+            if let Some(addr) = *lock_recover(&shared.addr) {
                 let _ = TcpStream::connect(addr);
             }
             break;
@@ -555,11 +556,8 @@ fn dispatch(
             }
             let text = crate::reqtrace::render_trace(&exemplars);
             protocol::encode_ok(vec![
-                (
-                    "exemplars".into(),
-                    crate::json::Json::Num(exemplars.len() as f64),
-                ),
-                ("trace".into(), crate::json::Json::Str(text)),
+                ("exemplars".into(), Json::Num(exemplars.len() as f64)),
+                ("trace".into(), Json::Str(text)),
             ])
         }
         Request::Reload { path } => {
@@ -569,7 +567,7 @@ fn dispatch(
             {
                 Ok(()) => protocol::encode_ok(vec![(
                     "epoch".into(),
-                    crate::json::Json::Num(shared.engine.epoch() as f64),
+                    Json::Num(shared.engine.epoch() as f64),
                 )]),
                 Err(e) => {
                     stats.errors.inc();
@@ -590,7 +588,6 @@ fn dispatch(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::json::Json;
     use crate::snapshot::{DomainSnapshot, HeadKind};
     use nm_tensor::{Tensor, TensorRng};
 

@@ -4,7 +4,7 @@
 //! wire request, the training telemetry, and process-local snapshots
 //! all share a single implementation and JSON format.
 
-use crate::json::Json;
+use nm_obs::json::Json;
 use nm_obs::{Counter, Histogram, HistogramSnapshot, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

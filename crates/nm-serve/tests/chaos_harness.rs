@@ -8,9 +8,10 @@
 //!   within a bounded client read timeout (no hangs, no silent drops);
 //! * counter conservation holds on the final stats snapshot.
 
+use nm_obs::json::Json;
 use nm_serve::{
-    BreakerConfig, ChaosConfig, DomainSnapshot, Engine, EngineConfig, HeadKind, Json,
-    ResilienceConfig, Server, ServerConfig, Snapshot,
+    BreakerConfig, ChaosConfig, DomainSnapshot, Engine, EngineConfig, HeadKind, ResilienceConfig,
+    Server, ServerConfig, Snapshot,
 };
 use nm_tensor::{Tensor, TensorRng};
 use std::io::{BufRead, BufReader, Write};
@@ -20,7 +21,7 @@ use std::time::Duration;
 
 const REQUESTS: usize = 60;
 const RELOAD_AT: [usize; 3] = [20, 35, 50];
-const CHAOS_SEED: u64 = 0xC4A0_5;
+const CHAOS_SEED: u64 = 0x000C_4A05;
 
 fn make_snapshot(seed: u64) -> Snapshot {
     let mut rng = TensorRng::seed_from(seed);

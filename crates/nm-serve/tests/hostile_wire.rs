@@ -4,9 +4,8 @@
 //! panic, no silent drop — and the server must still answer a valid
 //! request afterwards.
 
-use nm_serve::{
-    DomainSnapshot, Engine, EngineConfig, HeadKind, Json, Server, ServerConfig, Snapshot,
-};
+use nm_obs::json::Json;
+use nm_serve::{DomainSnapshot, Engine, EngineConfig, HeadKind, Server, ServerConfig, Snapshot};
 use nm_tensor::{Tensor, TensorRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -2,9 +2,8 @@
 //! server over real TCP and every response must come back intact, in
 //! order, and consistent across clients.
 
-use nm_serve::{
-    DomainSnapshot, Engine, EngineConfig, HeadKind, Json, Server, ServerConfig, Snapshot,
-};
+use nm_obs::json::Json;
+use nm_serve::{DomainSnapshot, Engine, EngineConfig, HeadKind, Server, ServerConfig, Snapshot};
 use nm_tensor::{Tensor, TensorRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -30,8 +30,10 @@ fn tiny_task() -> Rc<CdrTask> {
     cfg.n_items_b = 28;
     cfg.n_overlap = 20;
     let data = nm_data::generate::generate(&cfg);
-    let mut t = TaskConfig::default();
-    t.eval_negatives = 20;
+    let t = TaskConfig {
+        eval_negatives: 20,
+        ..Default::default()
+    };
     CdrTask::build(data, t)
 }
 

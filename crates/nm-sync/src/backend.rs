@@ -15,7 +15,9 @@
 //! traits so the model checker sees every synchronization event.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::Duration;
 
 /// A fused mutex + condvar over one protected value. Every core in
@@ -85,15 +87,33 @@ pub trait Backend: 'static {
 // StdBackend: the zero-cost production instantiation.
 // ---------------------------------------------------------------------------
 
-/// Poison-tolerant lock acquisition, same discipline as
-/// `nm-serve::sync` / `nm-obs::sync`: a panicking holder must not
-/// wedge the process — the protected state is always either fully
-/// updated or reconstructible, so we adopt it and move on.
+// Poison-tolerant helpers, shared by every crate that holds a std
+// lock: a poisoned lock means another thread panicked while holding
+// it. Each critical section in the workspace either completes its
+// invariant or leaves state a later caller can safely recompute or
+// overwrite (cache entries, queue membership, counters, sink buffers),
+// so the right recovery is to adopt the guard and keep going rather
+// than spread the panic to every unrelated thread.
+
+/// Locks a mutex, recovering the guard if a previous holder panicked.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-locks, recovering from poisoning.
+pub fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks, recovering from poisoning.
+pub fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Condvar wait that survives poisoning. Safe because every caller
+/// re-checks its predicate in a loop (the spurious-wakeup discipline).
+pub fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `std::sync::Mutex` + `Condvar` monitor. `with` compiles to exactly
@@ -121,10 +141,7 @@ impl<T: Send> Monitor<T> for StdMonitor<T> {
             if let Some(r) = f(&mut g) {
                 return r;
             }
-            g = match self.cv.wait(g) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            g = wait_recover(&self.cv, g);
         }
     }
 
@@ -141,10 +158,7 @@ impl<T: Send> Monitor<T> for StdMonitor<T> {
             }
             match budget() {
                 None => {
-                    g = match self.cv.wait(g) {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
+                    g = wait_recover(&self.cv, g);
                 }
                 Some(b) => {
                     if expired() {

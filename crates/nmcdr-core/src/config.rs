@@ -196,14 +196,18 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let mut c = NmcdrConfig::default();
-        c.dim = 0;
+        let c = NmcdrConfig {
+            dim: 0,
+            ..Default::default()
+        };
         assert!(c.validate().is_err());
 
-        let mut c = NmcdrConfig::default();
-        c.complement = ComplementCandidates::ObservedPlusSampled {
-            total: 4,
-            max_observed: 10,
+        let c = NmcdrConfig {
+            complement: ComplementCandidates::ObservedPlusSampled {
+                total: 4,
+                max_observed: 10,
+            },
+            ..Default::default()
         };
         assert!(c.validate().is_err());
     }
