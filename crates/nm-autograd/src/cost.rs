@@ -138,7 +138,7 @@ pub fn cost_for(kind: &str, d: &OpDims) -> Option<OpCost> {
             bwd_bytes: 2 * e * S,
         },
         // Backward zero-fills the parent and scatters the slice back.
-        "slice_rows" | "slice_cols" => OpCost {
+        "slice_cols" => OpCost {
             fwd_flops: 0,
             fwd_bytes: 2 * e * S,
             bwd_flops: e,

@@ -37,8 +37,6 @@ pub(crate) enum Op {
     Softplus(Var),
     /// `[a | b]` horizontal concat.
     ConcatCols(Var, Var),
-    /// Copy of rows `[start, end)`.
-    SliceRows(Var, usize, usize),
     /// Copy of cols `[start, end)`.
     SliceCols(Var, usize, usize),
     /// Row gather (embedding lookup). Backward scatter-adds.
@@ -89,7 +87,6 @@ impl Op {
             Tanh(..) => "tanh",
             Softplus(..) => "softplus",
             ConcatCols(..) => "concat_cols",
-            SliceRows(..) => "slice_rows",
             SliceCols(..) => "slice_cols",
             GatherRows(..) => "gather_rows",
             Spmm(..) => "spmm",
@@ -124,7 +121,6 @@ impl Op {
             | Sigmoid(a)
             | Tanh(a)
             | Softplus(a)
-            | SliceRows(a, _, _)
             | SliceCols(a, _, _)
             | GatherRows(a, _)
             | Spmm(_, a)

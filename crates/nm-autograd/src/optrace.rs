@@ -34,7 +34,6 @@ pub const OP_KINDS: &[&str] = &[
     "tanh",
     "softplus",
     "concat_cols",
-    "slice_rows",
     "slice_cols",
     "gather_rows",
     "spmm",
@@ -55,7 +54,7 @@ pub const OP_KINDS: &[&str] = &[
 pub enum TraceMeta {
     /// The op's output shape is fully determined by its parents.
     None,
-    /// `slice_rows`/`slice_cols` half-open range.
+    /// `slice_cols` half-open range.
     Slice { start: usize, end: usize },
     /// `gather_rows`: number of gathered indices and the largest index.
     Gather { len: usize, max_index: usize },
@@ -124,7 +123,6 @@ fn describe(op: &Op) -> (&'static str, TraceMeta) {
         Op::Tanh(..) => ("tanh", TraceMeta::None),
         Op::Softplus(..) => ("softplus", TraceMeta::None),
         Op::ConcatCols(..) => ("concat_cols", TraceMeta::None),
-        &Op::SliceRows(_, start, end) => ("slice_rows", TraceMeta::Slice { start, end }),
         &Op::SliceCols(_, start, end) => ("slice_cols", TraceMeta::Slice { start, end }),
         Op::GatherRows(_, idx) => (
             "gather_rows",
@@ -193,7 +191,7 @@ mod tests {
         let x = t.leaf(Tensor::zeros(4, 2));
         let g = t.gather_rows(x, Rc::new(vec![3, 0, 3]));
         let r = t.repeat_rows(g, 5);
-        let sl = t.slice_rows(r, 1, 9);
+        let sl = t.slice_cols(r, 1, 2);
         let trace = t.export_trace();
         assert_eq!(
             trace[g.0].meta,
@@ -203,7 +201,7 @@ mod tests {
             }
         );
         assert_eq!(trace[r.0].meta, TraceMeta::Group { k: 5 });
-        assert_eq!(trace[sl.0].meta, TraceMeta::Slice { start: 1, end: 9 });
+        assert_eq!(trace[sl.0].meta, TraceMeta::Slice { start: 1, end: 2 });
     }
 
     #[test]

@@ -262,13 +262,6 @@ impl Tape {
         self.finish_fwd(t, v)
     }
 
-    pub fn slice_rows(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let t = profile::op_start();
-        let value = self.value(a).slice_rows(start, end);
-        let v = self.push(value, Op::SliceRows(a, start, end));
-        self.finish_fwd(t, v)
-    }
-
     pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
         let t = profile::op_start();
         let value = self.value(a).slice_cols(start, end);
@@ -518,13 +511,6 @@ impl Tape {
             (&Op::ConcatCols(a, b), _) => {
                 let ca = val(a).cols();
                 grad.slice_cols(ca, ca + val(b).cols())
-            }
-            (&Op::SliceRows(a, start, _end), _) => {
-                let (r, c) = val(a).shape();
-                let mut g = Tensor::zeros(r, c);
-                let idx: Vec<u32> = (start..start + grad.rows()).map(|x| x as u32).collect();
-                g.scatter_add_rows(&idx, grad);
-                g
             }
             (&Op::SliceCols(a, start, end), _) => {
                 let (r, c) = val(a).shape();

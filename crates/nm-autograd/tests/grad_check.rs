@@ -183,12 +183,7 @@ fn grad_concat_cols_both_sides() {
 }
 
 #[test]
-fn grad_slice_rows_cols() {
-    check_unary(rand_t(4, 3, 21), |t, v| {
-        let s = t.slice_rows(v, 1, 3);
-        let sq = t.mul(s, s);
-        t.sum_all(sq)
-    });
+fn grad_slice_cols() {
     check_unary(rand_t(3, 5, 22), |t, v| {
         let s = t.slice_cols(v, 2, 4);
         let sq = t.mul(s, s);

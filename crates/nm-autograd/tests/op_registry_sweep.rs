@@ -134,14 +134,6 @@ fn sweep_entry(kind: &str) -> Option<(Tensor, Builder)> {
                 t.sum_all(sq)
             }),
         ),
-        "slice_rows" => (
-            rand_t(4, 3, 118),
-            Box::new(|t, v| {
-                let s = t.slice_rows(v, 1, 3);
-                let sq = t.mul(s, s);
-                t.sum_all(sq)
-            }),
-        ),
         "slice_cols" => (
             rand_t(3, 5, 119),
             Box::new(|t, v| {

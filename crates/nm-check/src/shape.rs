@@ -155,7 +155,7 @@ fn derive_shape(
             }
             Some((a.0, a.1 + b.1))
         }
-        "slice_rows" | "slice_cols" => {
+        "slice_cols" => {
             let a = p(0);
             let TraceMeta::Slice { start, end } = n.meta else {
                 out.push(diag(
@@ -165,20 +165,15 @@ fn derive_shape(
                 ));
                 return None;
             };
-            let limit = if n.kind == "slice_rows" { a.0 } else { a.1 };
-            if start >= end || end > limit {
+            if start >= end || end > a.1 {
                 out.push(diag(
                     "slice-range",
                     node_loc(i, n),
-                    format!("range {start}..{end} invalid for extent {limit}"),
+                    format!("range {start}..{end} invalid for extent {}", a.1),
                 ));
                 return None;
             }
-            Some(if n.kind == "slice_rows" {
-                (end - start, a.1)
-            } else {
-                (a.0, end - start)
-            })
+            Some((a.0, end - start))
         }
         "gather_rows" => {
             let a = p(0);

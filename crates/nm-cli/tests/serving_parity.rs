@@ -107,7 +107,7 @@ fn roundtrip_parity<M: CdrModel + FrozenModel + Module>(tag: &str, mut trained: 
             let scores = engine.score(z, &vec![user; all_items.len()], &all_items);
             let pairs: Vec<(u32, f32)> = all_items.iter().copied().zip(scores).collect();
             let want = nm_eval::top_k(&pairs, 10);
-            let (_, got) = engine.topk(z, user, 10);
+            let (got, _) = engine.topk_traced(z, user, 10);
             assert_eq!(*got, want, "{tag}: topk for user {user} domain {z}");
         }
     }

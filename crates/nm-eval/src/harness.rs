@@ -22,16 +22,17 @@ where
 /// Total order for ranked `(item, score)` pairs: score descending, then
 /// item id ascending. Breaking score ties by id makes every ranking in
 /// the workspace — offline audits here and the serving engine's top-K
-/// heap — deterministic and mutually comparable.
+/// heap — deterministic and mutually comparable. NaN scores rank after
+/// every number, so the order stays total (as `sort_by` requires)
+/// whatever a snapshot or model produces.
 pub fn rank_order(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1)
-        .unwrap_or(std::cmp::Ordering::Equal)
+        .unwrap_or_else(|| a.1.is_nan().cmp(&b.1.is_nan()))
         .then_with(|| a.0.cmp(&b.0))
 }
 
 /// The top `k` of `(item, score)` pairs under [`rank_order`], sorted
-/// best-first. NaN scores sort like ties (broken by id) rather than
-/// poisoning the order.
+/// best-first. NaN scores rank last, tied among themselves by id.
 pub fn top_k(pairs: &[(u32, f32)], k: usize) -> Vec<(u32, f32)> {
     let mut v = pairs.to_vec();
     v.sort_by(rank_order);
@@ -195,8 +196,26 @@ mod tests {
         let pairs = vec![(3, f32::NAN), (1, 1.0), (2, f32::NAN)];
         let top = top_k(&pairs, 10);
         assert_eq!(top.len(), 3);
-        // the finite score and both NaNs are all present; ids are unique
-        assert!(top.iter().any(|&(i, _)| i == 1));
+        assert_eq!(top[0], (1, 1.0));
+        // Enough pairs that `sort_by` leaves its small-slice path, with a
+        // NaN on the lowest id: NaNs rank after every number, by id.
+        let nan_ids = [0u32, 17, 40, 63];
+        let pairs: Vec<(u32, f32)> = (0..64u32)
+            .map(|i| {
+                let score = if nan_ids.contains(&i) {
+                    f32::NAN
+                } else {
+                    ((i * 37) % 11) as f32 - 5.0
+                };
+                (i, score)
+            })
+            .collect();
+        let top = top_k(&pairs, 64);
+        let tail: Vec<u32> = top[60..].iter().map(|p| p.0).collect();
+        assert_eq!(tail, nan_ids);
+        for w in top[..60].windows(2) {
+            assert!(rank_order(&w[0], &w[1]).is_lt(), "{w:?}");
+        }
     }
 
     #[test]

@@ -19,6 +19,18 @@ pub struct CacheKey {
     pub epoch: u64,
 }
 
+impl CacheKey {
+    /// The key of `user`'s top-`k` list in `domain` at `epoch`.
+    pub(crate) fn new(user: u32, domain: usize, k: usize, epoch: u64) -> Self {
+        Self {
+            user,
+            domain: domain as u8,
+            k: k as u32,
+            epoch,
+        }
+    }
+}
+
 /// A ranked `(item, score)` list, shared without copying.
 pub type CachedList = Arc<Vec<(u32, f32)>>;
 
@@ -117,12 +129,7 @@ mod tests {
     use super::*;
 
     fn key(user: u32, epoch: u64) -> CacheKey {
-        CacheKey {
-            user,
-            domain: 0,
-            k: 10,
-            epoch,
-        }
+        CacheKey::new(user, 0, 10, epoch)
     }
 
     fn list(v: u32) -> CachedList {

@@ -34,7 +34,6 @@
 //!   invalidated by bumping the epoch on snapshot reload. Degraded
 //!   answers are never inserted.
 
-use crate::breaker::{Admission, BreakerConfig, ShardBreakers, Transition};
 use crate::cache::{CacheKey, CachedList, ShardedLru};
 use crate::chaos::{seeded_backoff, Chaos, ChaosConfig, Deadline};
 use crate::reqtrace::{DegradedKind, ExemplarRing, ReqTiming};
@@ -45,6 +44,7 @@ use nm_nn::checkpoint::CheckpointError;
 use nm_obs::clock::Stopwatch;
 use nm_obs::{Counter, SloDecision, Telemetry, TelemetryConfig};
 use nm_sync::backend::{lock_recover, read_recover, wait_recover, write_recover};
+use nm_sync::breaker::{Admission, BreakerConfig, Transition};
 use nm_sync::{BatchQueue, BreakerBank, Slot, StdBackend};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,13 +68,8 @@ pub struct ResilienceConfig {
     pub backoff_cap: Duration,
     /// Per-shard circuit breaker (threshold 0 disables).
     pub breaker: BreakerConfig,
-    /// Entries in the epoch-agnostic stale cache of last good answers
-    /// (0 disables the stale fallback).
-    pub stale_capacity: usize,
     /// Worker restart/quarantine policy.
     pub restart: RestartPolicy,
-    /// Seed for deterministic retry-backoff jitter.
-    pub seed: u64,
 }
 
 impl Default for ResilienceConfig {
@@ -84,9 +79,7 @@ impl Default for ResilienceConfig {
             backoff_base: Duration::from_micros(100),
             backoff_cap: Duration::from_millis(2),
             breaker: BreakerConfig::default(),
-            stale_capacity: 1024,
             restart: RestartPolicy::default(),
-            seed: 0,
         }
     }
 }
@@ -102,10 +95,6 @@ pub struct EngineConfig {
     pub batch_max: usize,
     /// Total cached recommendation lists (0 disables the cache).
     pub cache_capacity: usize,
-    /// Cache shard count.
-    pub cache_shards: usize,
-    /// Slowest-request exemplars retained for `{"op":"trace"}`.
-    pub exemplar_capacity: usize,
     /// Retry/breaker/degraded-mode tuning.
     pub resilience: ResilienceConfig,
     /// Deterministic fault injection (None/disabled in production).
@@ -125,8 +114,6 @@ impl Default for EngineConfig {
             shard_items: 256,
             batch_max: 8,
             cache_capacity: 4096,
-            cache_shards: 8,
-            exemplar_capacity: 32,
             resilience: ResilienceConfig::default(),
             chaos: None,
             telemetry: TelemetryConfig::default(),
@@ -143,6 +130,15 @@ type CandidatePools = Vec<Mutex<Vec<(u32, f32)>>>;
 /// Cache-key epoch reserved for the stale cache: entries are last good
 /// answers keyed only by `(user, domain, k)`, surviving reloads.
 const STALE_EPOCH: u64 = u64::MAX;
+
+/// Entries in the stale cache of last good answers.
+const STALE_CAPACITY: usize = 1024;
+
+/// Lock shards of the live and the stale cache.
+const CACHE_SHARDS: usize = 8;
+
+/// Slowest-request exemplars retained for `{"op":"trace"}`.
+const EXEMPLAR_CAPACITY: usize = 32;
 
 /// Heap entry ordered by [`rank_order`]: `Greater` means *worse*
 /// ranked, so a max-heap's root is the worst retained candidate.
@@ -339,37 +335,15 @@ struct BatchTiming {
     degraded_shards: u32,
 }
 
+/// What the batch leader posts to a request: its list, the timing of
+/// the pass that produced it, and the list's degradation.
+type Answer = (CachedList, BatchTiming, DegradedKind);
+
 /// A follower's rendezvous slot: the batch leader fills it. The slot
 /// algorithm itself lives in [`nm_sync::coalesce`] — production
 /// instantiates it with the zero-cost [`StdBackend`], and `nmcdr
 /// check` model-checks the *same* code under its virtual backend.
-type ReqSlot = Slot<(CachedList, BatchTiming, DegradedKind), StdBackend>;
-
-/// Waits for the leader's fill, bounded by `deadline`. `None` means
-/// the deadline expired first (the abandoned slot is still filled and
-/// dropped later; the leader never blocks on us). Each individual
-/// sleep is clamped to [100µs, 50ms] so a coarse deadline still polls
-/// expiry promptly.
-fn slot_wait_deadline(
-    slot: &ReqSlot,
-    deadline: &Deadline,
-) -> Option<(CachedList, BatchTiming, DegradedKind)> {
-    slot.wait_deadline(
-        || deadline.expired(),
-        || {
-            if deadline.is_unbounded() {
-                None
-            } else {
-                Some(
-                    deadline
-                        .remaining()
-                        .min(Duration::from_millis(50))
-                        .max(Duration::from_micros(100)),
-                )
-            }
-        },
-    )
-}
+type ReqSlot = Slot<Answer, StdBackend>;
 
 #[derive(Clone)]
 struct Pending {
@@ -529,7 +503,7 @@ struct Versioned {
 }
 
 /// The online retrieval engine. Cheap to share: wrap in `Arc` and call
-/// [`Engine::topk`] from any number of threads.
+/// [`Engine::topk_traced`] from any number of threads.
 pub struct Engine {
     versioned: RwLock<Versioned>,
     /// Lock-free mirror of `versioned.epoch` for cheap reads (cache
@@ -542,7 +516,7 @@ pub struct Engine {
     cache: Option<ShardedLru>,
     /// Last good answer per `(user, domain, k)`, epoch-agnostic;
     /// survives reloads and is only served on the degraded path.
-    stale: Option<ShardedLru>,
+    stale: ShardedLru,
     breakers: [BreakerBank<StdBackend>; 2],
     /// Per-domain scoring-pass ordinals (breaker cooldown time base).
     pass_seq: [AtomicU64; 2],
@@ -567,9 +541,7 @@ impl Engine {
             .filter(|c| c.enabled())
             .map(|c| Arc::new(Chaos::new(c.clone(), stats.registry())));
         let cache =
-            (cfg.cache_capacity > 0).then(|| ShardedLru::new(cfg.cache_capacity, cfg.cache_shards));
-        let stale = (cfg.resilience.stale_capacity > 0)
-            .then(|| ShardedLru::new(cfg.resilience.stale_capacity, cfg.cache_shards));
+            (cfg.cache_capacity > 0).then(|| ShardedLru::new(cfg.cache_capacity, CACHE_SHARDS));
         let pool = SupervisedPool::new(cfg.n_workers, cfg.resilience.restart.clone(), &stats);
         Ok(Self {
             versioned: RwLock::new(Versioned {
@@ -580,7 +552,7 @@ impl Engine {
             pool,
             queues: [BatchQueue::new(), BatchQueue::new()],
             cache,
-            stale,
+            stale: ShardedLru::new(STALE_CAPACITY, CACHE_SHARDS),
             breakers: [
                 BreakerBank::new(cfg.resilience.breaker),
                 BreakerBank::new(cfg.resilience.breaker),
@@ -589,7 +561,7 @@ impl Engine {
             reload_seq: AtomicU64::new(0),
             chaos,
             stats,
-            reqtrace: ExemplarRing::new(cfg.exemplar_capacity),
+            reqtrace: ExemplarRing::new(EXEMPLAR_CAPACITY),
             telemetry: Arc::new(Telemetry::new(cfg.telemetry.clone())),
             cfg,
         })
@@ -622,12 +594,6 @@ impl Engine {
     /// Current snapshot epoch (bumped on every [`Engine::reload`]).
     pub fn epoch(&self) -> u64 {
         self.epoch_mirror.load(Ordering::Acquire)
-    }
-
-    /// Scoring workers currently alive (restarting workers flicker this
-    /// down; quarantined workers subtract permanently).
-    pub fn live_workers(&self) -> usize {
-        self.pool.live()
     }
 
     /// Scoring workers that exhausted their restart budget.
@@ -701,15 +667,9 @@ impl Engine {
     }
 
     /// Top-`k` items of `domain` for `user` (score descending, ties by
-    /// item id). `(hit, list)` — `hit` reports whether the answer came
-    /// from the cache.
-    pub fn topk(&self, domain: usize, user: u32, k: usize) -> (bool, CachedList) {
-        let (list, t) = self.topk_traced(domain, user, k);
-        (t.cache_hit, list)
-    }
-
-    /// [`Engine::topk`] plus the per-stage [`ReqTiming`] breakdown the
-    /// server attaches to slow-request exemplars.
+    /// item id), with the per-stage [`ReqTiming`] breakdown the server
+    /// attaches to slow-request exemplars. `ReqTiming::cache_hit`
+    /// reports whether the answer came from the cache.
     pub fn topk_traced(&self, domain: usize, user: u32, k: usize) -> (CachedList, ReqTiming) {
         self.topk_deadline(domain, user, k, Deadline::unbounded())
     }
@@ -728,63 +688,23 @@ impl Engine {
     ) -> (CachedList, ReqTiming) {
         self.stats.requests.inc();
         let mut t = ReqTiming::default();
-        let epoch = self.epoch();
-        let key = CacheKey {
-            user,
-            domain: domain as u8,
-            k: k as u32,
-            epoch,
-        };
-        let cache_sw = Stopwatch::start();
-        if let Some(c) = &self.cache {
-            let _s = nm_obs::trace::span("serve.cache");
-            if let Some(hit) = c.get(&key) {
-                self.stats.cache_hits.inc();
-                t.cache_us = cache_sw.elapsed_us();
-                t.cache_hit = true;
-                t.epoch = epoch;
-                return (hit, t);
-            }
-            self.stats.cache_misses.inc();
+        let key = CacheKey::new(user, domain, k, self.epoch());
+        if let Some(hit) = self.cache(&key, &mut t) {
+            return (hit, t);
         }
-        t.cache_us = cache_sw.elapsed_us();
-        if deadline.expired() {
-            // Shed before queueing: scoring could not finish in budget.
-            return self.degrade_now(domain, user, k, t, true);
-        }
-        let slot = Arc::new(ReqSlot::new());
-        let lock_sw = Stopwatch::start();
-        // Enqueue + leader election, fused in one monitor region of the
-        // coalescer core; `on_enter` observes the depth at region entry.
-        let become_leader = self.queues[domain].submit(
-            Pending {
-                user,
-                k,
-                slot: Arc::clone(&slot),
-            },
-            |depth| {
-                t.lock_us = lock_sw.elapsed_us();
-                t.queue_depth = depth as u64;
-            },
-        );
-        if become_leader {
-            self.lead_batches(domain);
+        // An expired deadline sheds before queueing: scoring could not
+        // finish in budget.
+        let answer = if deadline.expired() {
+            None
         } else {
-            t.coalesced = true;
-        }
-        let wait_sw = Stopwatch::start();
-        let filled = {
-            let _s = nm_obs::trace::span("serve.coalesce");
-            slot_wait_deadline(&slot, &deadline)
+            self.coalesce(domain, user, k, &deadline, &mut t)
         };
-        if t.coalesced {
-            t.coalesce_us = wait_sw.elapsed_us();
-        }
-        let Some((list, bt, kind)) = filled else {
-            // Deadline expired while parked on the leader. The slot is
-            // abandoned (the leader's later fill is dropped harmlessly)
-            // and the caller gets the degraded fallback now.
-            return self.degrade_now(domain, user, k, t, true);
+        let Some((list, bt, kind)) = answer else {
+            self.stats.deadline_shed.inc();
+            t.deadline_hit = true;
+            let (list, kind) = self.degraded(domain, user, k, Arc::new(Vec::new()));
+            t.degraded = kind;
+            return (list, t);
         };
         t.fanout_us = bt.fanout_us;
         t.merge_us = bt.merge_us;
@@ -793,40 +713,89 @@ impl Engine {
         (list, t)
     }
 
-    /// The no-waiting degraded path: stale-cache hit if available,
-    /// otherwise an empty `Unavailable` answer. Counts and traces the
-    /// outcome.
-    fn degrade_now(
+    /// Stage `serve.cache`: the live-cache lookup under the request's
+    /// epoch. A hit answers the request.
+    fn cache(&self, key: &CacheKey, t: &mut ReqTiming) -> Option<CachedList> {
+        let cache = self.cache.as_ref()?;
+        let (hit, us) = stage("serve.cache", || cache.get(key));
+        t.cache_us = us;
+        if hit.is_none() {
+            self.stats.cache_misses.inc();
+            return None;
+        }
+        self.stats.cache_hits.inc();
+        t.cache_hit = true;
+        t.epoch = key.epoch;
+        hit
+    }
+
+    /// Stage `serve.coalesce`: joins the domain's batch queue, leads its
+    /// batches when first to arrive, and waits for this request's
+    /// answer. `None` means the deadline expired while parked on the
+    /// leader: the slot is abandoned, and the leader's later fill is
+    /// dropped harmlessly (the leader never blocks on a follower).
+    fn coalesce(
         &self,
         domain: usize,
         user: u32,
         k: usize,
-        mut t: ReqTiming,
-        deadline_hit: bool,
-    ) -> (CachedList, ReqTiming) {
-        if deadline_hit {
-            self.stats.deadline_shed.inc();
-            t.deadline_hit = true;
+        deadline: &Deadline,
+        t: &mut ReqTiming,
+    ) -> Option<Answer> {
+        let slot = Arc::new(ReqSlot::new());
+        let pending = Pending {
+            user,
+            k,
+            slot: Arc::clone(&slot),
+        };
+        let lock_sw = Stopwatch::start();
+        // Enqueue + leader election, fused in one monitor region of the
+        // coalescer core; `on_enter` observes the depth at region entry.
+        let become_leader = self.queues[domain].submit(pending, |depth| {
+            t.lock_us = lock_sw.elapsed_us();
+            t.queue_depth = depth as u64;
+        });
+        if become_leader {
+            self.lead_batches(domain);
+        } else {
+            t.coalesced = true;
         }
-        if let Some(list) = self.stale_lookup(domain, user, k) {
-            self.note_degraded(domain, DegradedKind::Stale);
-            t.degraded = DegradedKind::Stale;
-            return (list, t);
+        // Each sleep is clamped to [100µs, 50ms] so a coarse deadline
+        // still polls expiry promptly.
+        let budget = || {
+            let (lo, hi) = (Duration::from_micros(100), Duration::from_millis(50));
+            (!deadline.is_unbounded()).then(|| deadline.remaining().clamp(lo, hi))
+        };
+        let (answer, us) = stage("serve.coalesce", || {
+            slot.wait_deadline(|| deadline.expired(), budget)
+        });
+        if t.coalesced {
+            t.coalesce_us = us;
         }
-        self.note_degraded(domain, DegradedKind::Unavailable);
-        t.degraded = DegradedKind::Unavailable;
-        (Arc::new(Vec::new()), t)
+        answer
     }
 
-    fn stale_lookup(&self, domain: usize, user: u32, k: usize) -> Option<CachedList> {
-        self.stale.as_ref().and_then(|s| {
-            s.get(&CacheKey {
-                user,
-                domain: domain as u8,
-                k: k as u32,
-                epoch: STALE_EPOCH,
-            })
-        })
+    /// The degraded answer for `(user, domain, k)` when its scoring lost
+    /// shards or never ran: `list` itself when some shards scored
+    /// (`Partial`), else the stale cache's last good answer, else `list`
+    /// empty (`Unavailable`). Counts and traces the outcome.
+    fn degraded(
+        &self,
+        domain: usize,
+        user: u32,
+        k: usize,
+        list: CachedList,
+    ) -> (CachedList, DegradedKind) {
+        let stale_key = CacheKey::new(user, domain, k, STALE_EPOCH);
+        let (list, kind) = if !list.is_empty() {
+            (list, DegradedKind::Partial)
+        } else if let Some(stale) = self.stale.get(&stale_key) {
+            (stale, DegradedKind::Stale)
+        } else {
+            (list, DegradedKind::Unavailable)
+        };
+        self.note_degraded(domain, kind);
+        (list, kind)
     }
 
     /// Counts one degraded answer and emits its typed trace event.
@@ -886,246 +855,230 @@ impl Engine {
             if batch.len() > 1 {
                 self.stats.coalesced.add(batch.len() as u64);
             }
-            let (results, timing) = self.run_batch(domain, &batch);
-            let healthy = timing.degraded_shards == 0;
-            for (req, list) in batch.iter().zip(results) {
-                if healthy {
-                    if let Some(c) = &self.cache {
-                        c.insert(
-                            CacheKey {
-                                user: req.user,
-                                domain: domain as u8,
-                                k: req.k as u32,
-                                epoch: timing.epoch,
-                            },
-                            Arc::clone(&list),
-                        );
+            let (lists, timing) = self.run_batch(domain, &batch);
+            for (req, list) in batch.iter().zip(lists) {
+                let (list, kind) = if timing.degraded_shards == 0 {
+                    let live = self.cache.as_ref().map(|c| (c, timing.epoch));
+                    for (cache, epoch) in live.into_iter().chain([(&self.stale, STALE_EPOCH)]) {
+                        let key = CacheKey::new(req.user, domain, req.k, epoch);
+                        cache.insert(key, Arc::clone(&list));
                     }
-                    if let Some(s) = &self.stale {
-                        s.insert(
-                            CacheKey {
-                                user: req.user,
-                                domain: domain as u8,
-                                k: req.k as u32,
-                                epoch: STALE_EPOCH,
-                            },
-                            Arc::clone(&list),
-                        );
-                    }
-                    req.slot.fill((list, timing, DegradedKind::None));
-                } else if !list.is_empty() {
-                    // Some shards survived: a partial answer over the
-                    // scored slice of the catalog.
-                    self.note_degraded(domain, DegradedKind::Partial);
-                    req.slot.fill((list, timing, DegradedKind::Partial));
-                } else if let Some(stale) = self.stale_lookup(domain, req.user, req.k) {
-                    self.note_degraded(domain, DegradedKind::Stale);
-                    req.slot.fill((stale, timing, DegradedKind::Stale));
+                    (list, DegradedKind::None)
                 } else {
-                    self.note_degraded(domain, DegradedKind::Unavailable);
-                    req.slot.fill((list, timing, DegradedKind::Unavailable));
-                }
+                    self.degraded(domain, req.user, req.k, list)
+                };
+                req.slot.fill((list, timing, kind));
             }
         }
     }
 
-    /// One shared scoring pass with the full resilience pipeline:
-    /// breaker admission → guarded fan-out (helpers + leader-inline
-    /// drain) → bounded retries with seeded backoff → breaker
-    /// reporting → canonical merge.
+    /// One shared scoring pass: the fan-out stage, then the merge stage.
     fn run_batch(&self, domain: usize, batch: &[Pending]) -> (Vec<CachedList>, BatchTiming) {
         // One coherent read per batch: every shard of this pass scores
         // the same snapshot, and the batch is labelled with its epoch.
         let (epoch, snap) = self.current();
-        let n_items = snap.n_items(domain);
-        if n_items == 0 {
-            let empty = batch.iter().map(|_| Arc::new(Vec::new())).collect();
-            return (
-                empty,
-                BatchTiming {
-                    epoch,
-                    ..Default::default()
-                },
-            );
+        let mut timing = BatchTiming {
+            epoch,
+            ..Default::default()
+        };
+        if snap.n_items(domain) == 0 {
+            return (batch.iter().map(|_| Arc::new(Vec::new())).collect(), timing);
         }
-        let res = &self.cfg.resilience;
+        let ctx = self.fanout(domain, batch, snap, &mut timing);
+        let lists = merge(&ctx, batch, &mut timing);
+        (lists, timing)
+    }
+
+    /// Stage `serve.fanout`: breaker admission, then scoring attempts
+    /// (the first over every admitted shard, retries with seeded
+    /// backoff over the failed ones), then outcome accounting. The span
+    /// and `fanout_us` cover the attempts.
+    fn fanout(
+        &self,
+        domain: usize,
+        batch: &[Pending],
+        snap: Arc<Snapshot>,
+        timing: &mut BatchTiming,
+    ) -> Arc<BatchCtx> {
         let shard_items = self.cfg.shard_items.max(1);
-        let n_shards = n_items.div_ceil(shard_items);
-        let k_max = batch.iter().map(|r| r.k).max().unwrap_or(0).min(n_items);
-        let users: Vec<u32> = batch.iter().map(|r| r.user).collect();
+        let n_items = snap.n_items(domain);
         let pass = self.pass_seq[domain].fetch_add(1, Ordering::AcqRel);
-
-        // Breaker admission: decide per shard before any work starts
-        // (one bank region for the whole scan, as before extraction).
-        let mut admissions = vec![Admission::Allow; n_shards];
-        if res.breaker.failure_threshold > 0 {
-            self.breakers[domain].with(|br| {
-                for (s, adm) in admissions.iter_mut().enumerate() {
-                    let (a, tr) = br.admit(s, pass);
-                    *adm = a;
-                    if let Some(tr) = tr {
-                        self.note_breaker(domain, s, tr);
-                    }
-                }
-            });
-        }
-        let short_circuited = admissions.iter().filter(|a| **a == Admission::Skip).count();
-        if short_circuited > 0 {
-            self.stats
-                .breaker_short_circuits
-                .add(short_circuited as u64);
-        }
-
-        let status: Vec<AtomicU8> = admissions
-            .iter()
-            .map(|a| {
-                AtomicU8::new(if *a == Admission::Skip {
-                    SHARD_SKIPPED
-                } else {
-                    SHARD_PENDING
-                })
+        let admissions = self.admit(domain, n_items.div_ceil(shard_items), pass);
+        let status = admissions.iter().map(|a| {
+            AtomicU8::new(if *a == Admission::Skip {
+                SHARD_SKIPPED
+            } else {
+                SHARD_PENDING
             })
-            .collect();
+        });
         let ctx = Arc::new(BatchCtx {
             snap,
             domain,
-            users,
-            k_max,
+            users: batch.iter().map(|r| r.user).collect(),
+            k_max: batch.iter().map(|r| r.k).max().unwrap_or(0).min(n_items),
             shard_items,
             n_items,
             pass,
-            status,
+            status: status.collect(),
             candidates: batch.iter().map(|_| Mutex::new(Vec::new())).collect(),
             chaos: self.chaos.clone(),
         });
-
-        let fanout_sw = Stopwatch::start();
-        let fanout_span = nm_obs::trace::span("serve.fanout");
-        let mut attempt: u32 = 0;
-        loop {
-            let worklist: Vec<usize> = if attempt == 0 {
-                (0..n_shards)
-                    .filter(|&s| admissions[s] != Admission::Skip)
-                    .collect()
-            } else {
-                // Retry only normally-admitted failures; a half-open
-                // probe gets exactly one attempt.
-                (0..n_shards)
-                    .filter(|&s| {
-                        admissions[s] == Admission::Allow
-                            && ctx.status[s].load(Ordering::Acquire) == SHARD_FAILED
-                    })
-                    .collect()
-            };
-            if worklist.is_empty() {
-                break;
-            }
-            if attempt > 0 {
-                self.stats.shard_retried.add(worklist.len() as u64);
-                nm_obs::trace::event("serve.retry", |e| {
-                    e.u("domain", domain as u64)
-                        .u("pass", pass)
-                        .u("attempt", attempt as u64)
-                        .u("shards", worklist.len() as u64);
-                });
-                thread::sleep(seeded_backoff(
-                    res.backoff_base,
-                    res.backoff_cap,
-                    attempt,
-                    res.seed,
-                    pass,
-                ));
-                for &s in &worklist {
-                    ctx.status[s].store(SHARD_PENDING, Ordering::Release);
+        let ((), us) = stage("serve.fanout", || {
+            for attempt in 0..=self.cfg.resilience.shard_retries {
+                let worklist = worklist(&ctx, &admissions, attempt);
+                if worklist.is_empty() {
+                    break;
                 }
-            }
-            let n_jobs = self.cfg.n_workers.min(worklist.len()).max(1);
-            let actx = Arc::new(AttemptCtx {
-                batch: Arc::clone(&ctx),
-                latch: Latch::new(worklist.len()),
-                worklist,
-                attempt,
-                next: AtomicUsize::new(0),
-            });
-            for _ in 0..n_jobs.saturating_sub(1) {
-                let actx = Arc::clone(&actx);
-                self.pool
-                    .submit_helper(Box::new(move || drain_worklist(&actx)));
-            }
-            // The leader drains inline until the cursor is exhausted:
-            // an injected panic kills helper *workers*, but here it is
-            // caught and draining resumes, so a batch completes even
-            // with every worker dead or quarantined.
-            while actx.next.load(Ordering::Acquire) < actx.worklist.len() {
-                if catch_unwind(AssertUnwindSafe(|| drain_worklist(&actx))).is_err() {
-                    self.stats.worker_panics.inc();
+                if attempt > 0 {
+                    self.prepare_retry(&ctx, &worklist, attempt);
                 }
+                self.run_attempt(&ctx, worklist, attempt);
             }
-            actx.latch.wait();
-            if attempt >= res.shard_retries {
-                break;
-            }
-            attempt += 1;
-        }
-        drop(fanout_span);
-        let fanout_us = fanout_sw.elapsed_us();
+        });
+        timing.fanout_us = us;
+        timing.degraded_shards = self.report_outcomes(&ctx);
+        ctx
+    }
 
-        // Outcome accounting + breaker reporting, one scan (and one
-        // bank region when breakers are enabled, as before extraction).
-        let mut degraded_shards: u32 = 0;
-        {
-            let mut scan = |mut br: Option<&mut ShardBreakers>| {
-                for s in 0..n_shards {
-                    match ctx.status[s].load(Ordering::Acquire) {
-                        SHARD_DONE => {
-                            if let Some(br) = br.as_mut() {
-                                if let Some(tr) = br.on_success(s) {
-                                    self.note_breaker(domain, s, tr);
-                                }
-                            }
-                        }
-                        SHARD_SKIPPED => degraded_shards += 1,
-                        _ => {
-                            degraded_shards += 1;
-                            self.stats.shard_failures.inc();
-                            if let Some(br) = br.as_mut() {
-                                if let Some(tr) = br.on_failure(s, pass) {
-                                    self.note_breaker(domain, s, tr);
-                                }
-                            }
-                        }
+    /// Breaker admission for every shard of pass `pass`, decided before
+    /// any work starts, in one bank region. Counts the short-circuited
+    /// shards.
+    fn admit(&self, domain: usize, n_shards: usize, pass: u64) -> Vec<Admission> {
+        let admissions: Vec<Admission> = self.breakers[domain].with(|br| {
+            (0..n_shards)
+                .map(|s| {
+                    let (a, tr) = br.admit(s, pass);
+                    if let Some(tr) = tr {
+                        self.note_breaker(domain, s, tr);
                     }
-                }
-            };
-            if res.breaker.failure_threshold > 0 {
-                self.breakers[domain].with(|br| scan(Some(br)));
-            } else {
-                scan(None);
+                    a
+                })
+                .collect()
+        });
+        let skipped = admissions.iter().filter(|a| **a == Admission::Skip).count();
+        self.stats.breaker_short_circuits.add(skipped as u64);
+        admissions
+    }
+
+    /// Counts and traces a retry of `worklist`, backs off, and re-arms
+    /// the shards' status for the next attempt.
+    fn prepare_retry(&self, ctx: &BatchCtx, worklist: &[usize], attempt: u32) {
+        let res = &self.cfg.resilience;
+        self.stats.shard_retried.add(worklist.len() as u64);
+        nm_obs::trace::event("serve.retry", |e| {
+            e.u("domain", ctx.domain as u64)
+                .u("pass", ctx.pass)
+                .u("attempt", attempt as u64)
+                .u("shards", worklist.len() as u64);
+        });
+        let backoff = seeded_backoff(res.backoff_base, res.backoff_cap, attempt, 0, ctx.pass);
+        thread::sleep(backoff);
+        for &s in worklist {
+            ctx.status[s].store(SHARD_PENDING, Ordering::Release);
+        }
+    }
+
+    /// One scoring attempt over `worklist`: helper jobs on the pool plus
+    /// the leader draining inline, then a wait for every claimed shard.
+    fn run_attempt(&self, ctx: &Arc<BatchCtx>, worklist: Vec<usize>, attempt: u32) {
+        let n_jobs = self.cfg.n_workers.min(worklist.len()).max(1);
+        let actx = Arc::new(AttemptCtx {
+            batch: Arc::clone(ctx),
+            latch: Latch::new(worklist.len()),
+            worklist,
+            attempt,
+            next: AtomicUsize::new(0),
+        });
+        for _ in 0..n_jobs.saturating_sub(1) {
+            let actx = Arc::clone(&actx);
+            self.pool
+                .submit_helper(Box::new(move || drain_worklist(&actx)));
+        }
+        // The leader drains inline until the cursor is exhausted:
+        // an injected panic kills helper *workers*, but here it is
+        // caught and draining resumes, so a batch completes even
+        // with every worker dead or quarantined.
+        while actx.next.load(Ordering::Acquire) < actx.worklist.len() {
+            if catch_unwind(AssertUnwindSafe(|| drain_worklist(&actx))).is_err() {
+                self.stats.worker_panics.inc();
             }
         }
+        actx.latch.wait();
+    }
 
-        let merge_sw = Stopwatch::start();
-        let _merge_span = nm_obs::trace::span("serve.merge");
-        let lists = batch
+    /// Outcome accounting, in one bank region: reports every shard's
+    /// outcome to its breaker and counts the failures. Returns the
+    /// number of shards that contributed nothing (failed or skipped).
+    fn report_outcomes(&self, ctx: &BatchCtx) -> u32 {
+        self.breakers[ctx.domain].with(|br| {
+            let mut degraded_shards = 0;
+            for (s, status) in ctx.status.iter().enumerate() {
+                let tr = match status.load(Ordering::Acquire) {
+                    SHARD_DONE => br.on_success(s),
+                    SHARD_SKIPPED => {
+                        degraded_shards += 1;
+                        None
+                    }
+                    _ => {
+                        degraded_shards += 1;
+                        self.stats.shard_failures.inc();
+                        br.on_failure(s, ctx.pass)
+                    }
+                };
+                if let Some(tr) = tr {
+                    self.note_breaker(ctx.domain, s, tr);
+                }
+            }
+            degraded_shards
+        })
+    }
+}
+
+/// Runs `f` as one request-path stage: inside the trace span `name`,
+/// timed by one stopwatch. Returns `f`'s result and the stage's wall
+/// time in microseconds.
+fn stage<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, u64) {
+    let sw = Stopwatch::start();
+    let out = {
+        let _span = nm_obs::trace::span(name);
+        f()
+    };
+    (out, sw.elapsed_us())
+}
+
+/// The shards attempt `attempt` scores: every admitted shard at first,
+/// then only the normally-admitted failures (a half-open probe gets
+/// exactly one attempt).
+fn worklist(ctx: &BatchCtx, admissions: &[Admission], attempt: u32) -> Vec<usize> {
+    let failed = |s: usize| ctx.status[s].load(Ordering::Acquire) == SHARD_FAILED;
+    (0..admissions.len())
+        .filter(|&s| match admissions[s] {
+            Admission::Skip => false,
+            Admission::Probe => attempt == 0,
+            Admission::Allow => attempt == 0 || failed(s),
+        })
+        .collect()
+}
+
+/// Stage `serve.merge`: each request's candidate pool in rank order,
+/// cut to its `k`.
+fn merge(ctx: &BatchCtx, batch: &[Pending], timing: &mut BatchTiming) -> Vec<CachedList> {
+    let (lists, us) = stage("serve.merge", || {
+        batch
             .iter()
-            .enumerate()
-            .map(|(r, req)| {
-                let mut pool = lock_recover(&ctx.candidates[r]);
+            .zip(&ctx.candidates)
+            .map(|(req, pool)| {
+                let mut pool = lock_recover(pool);
                 // Shard append order varies with scheduling; the total
                 // order of rank_order makes the final sort canonical.
                 pool.sort_by(rank_order);
                 pool.truncate(req.k);
                 Arc::new(std::mem::take(&mut *pool))
             })
-            .collect();
-        let timing = BatchTiming {
-            fanout_us,
-            merge_us: merge_sw.elapsed_us(),
-            epoch,
-            degraded_shards,
-        };
-        (lists, timing)
-    }
+            .collect()
+    });
+    timing.merge_us = us;
+    lists
 }
 
 /// Borrowed [`Scorer`] over one domain of an [`Engine`].
@@ -1150,10 +1103,17 @@ mod tests {
     #[test]
     fn bounded_heap_matches_sorting_top_k() {
         let mut rng = TensorRng::seed_from(3);
-        for k in [0usize, 1, 5, 50, 500] {
-            // include duplicated scores to exercise the id tie-break
+        for (k, nan_every) in [0usize, 1, 5, 50, 500]
+            .into_iter()
+            .flat_map(|k| [(k, None), (k, Some(7))])
+        {
+            // include duplicated scores to exercise the id tie-break,
+            // and NaN scores (on the lowest id too), which rank last
             let pairs: Vec<(u32, f32)> = (0..200u32)
-                .map(|i| (i, (rng.uniform(0.0, 8.0)).floor()))
+                .map(|i| match nan_every {
+                    Some(n) if i % n == 0 => (i, f32::NAN),
+                    _ => (i, (rng.uniform(0.0, 8.0)).floor()),
+                })
                 .collect();
             let want = top_k(&pairs, k);
             let mut heap = BoundedTopK::new(k);
@@ -1162,8 +1122,18 @@ mod tests {
             }
             let mut got: Vec<(u32, f32)> = heap.into_unordered().collect();
             got.sort_by(rank_order);
-            assert_eq!(got, want, "k={k}");
+            assert_eq!(bits(&got), bits(&want), "k={k} nan_every={nan_every:?}");
+            if nan_every.is_some() && k >= pairs.len() {
+                let nan_ids: Vec<u32> = (0..200).step_by(7).collect();
+                let tail = &want[pairs.len() - nan_ids.len()..];
+                assert_eq!(tail.iter().map(|p| p.0).collect::<Vec<_>>(), nan_ids);
+            }
         }
+    }
+
+    /// A ranked list with scores as bits, so NaN entries compare equal.
+    fn bits(list: &[(u32, f32)]) -> Vec<(u32, u32)> {
+        list.iter().map(|&(i, sc)| (i, sc.to_bits())).collect()
     }
 
     fn snapshot(n_items: usize, seed: u64) -> Snapshot {
@@ -1206,14 +1176,9 @@ mod tests {
         }
     }
 
-    /// Reference: brute-force top-k from score_pairs.
+    /// Reference: brute-force top-k from the live snapshot's score_pairs.
     fn reference_topk(e: &Engine, domain: usize, user: u32, k: usize) -> Vec<(u32, f32)> {
-        let snap = e.snapshot();
-        let n = snap.n_items(domain);
-        let items: Vec<u32> = (0..n as u32).collect();
-        let scores = snap.score_pairs(domain, &vec![user; n], &items);
-        let pairs: Vec<(u32, f32)> = items.into_iter().zip(scores).collect();
-        top_k(&pairs, k)
+        snapshot_topk(&e.snapshot(), domain, user, k)
     }
 
     #[test]
@@ -1223,7 +1188,7 @@ mod tests {
             for domain in 0..2 {
                 for user in [0u32, 3, 9] {
                     for k in [1, 7, 16, 100, 500] {
-                        let (_, got) = e.topk(domain, user, k);
+                        let (got, _) = e.topk_traced(domain, user, k);
                         let want = reference_topk(&e, domain, user, k);
                         assert_eq!(*got, want, "w={workers} d={domain} u={user} k={k}");
                     }
@@ -1235,17 +1200,17 @@ mod tests {
     #[test]
     fn cache_hits_on_repeat_and_misses_after_reload() {
         let e = engine(64, 2);
-        let (hit1, first) = e.topk(0, 1, 5);
-        assert!(!hit1);
-        let (hit2, second) = e.topk(0, 1, 5);
-        assert!(hit2, "second identical query must be a cache hit");
+        let (first, t1) = e.topk_traced(0, 1, 5);
+        assert!(!t1.cache_hit);
+        let (second, t2) = e.topk_traced(0, 1, 5);
+        assert!(t2.cache_hit, "second identical query must be a cache hit");
         assert_eq!(first, second);
         assert_eq!(e.stats().cache_hits.get(), 1);
 
         e.reload(snapshot(64, 99)).expect("valid reload snapshot");
         assert_eq!(e.epoch(), 1);
-        let (hit3, third) = e.topk(0, 1, 5);
-        assert!(!hit3, "reload must invalidate the cache");
+        let (third, t3) = e.topk_traced(0, 1, 5);
+        assert!(!t3.cache_hit, "reload must invalidate the cache");
         // different snapshot ⇒ (almost surely) different list
         assert_ne!(first, third);
     }
@@ -1269,7 +1234,7 @@ mod tests {
             let e = Arc::clone(&e);
             handles.push(thread::spawn(move || {
                 let user = t % 10;
-                let (_, got) = e.topk(0, user, 10);
+                let (got, _) = e.topk_traced(0, user, 10);
                 (user, got)
             }));
         }
@@ -1346,7 +1311,6 @@ mod tests {
                     shard_items: 16,
                     batch_max: 4,
                     cache_capacity: 256,
-                    cache_shards: 2,
                     ..Default::default()
                 },
             )
@@ -1392,9 +1356,43 @@ mod tests {
     }
 
     #[test]
+    fn nan_item_scores_rank_last_and_keep_every_answer_full() {
+        let mut snap = snapshot(300, 7);
+        for d in &mut snap.domains {
+            for item in [0, 150] {
+                d.items.row_slice_mut(item)[2] = f32::NAN;
+            }
+        }
+        let e = Engine::new(
+            snap,
+            EngineConfig {
+                n_workers: 2,
+                shard_items: 16,
+                cache_capacity: 0,
+                ..Default::default()
+            },
+        )
+        .expect("valid test snapshot");
+        for domain in 0..2 {
+            for user in 0..10u32 {
+                for k in [10, 200, 300] {
+                    let (got, t) = e.topk_traced(domain, user, k);
+                    let tag = format!("d={domain} u={user} k={k}");
+                    assert_eq!(t.degraded, DegradedKind::None, "{tag}");
+                    let want = reference_topk(&e, domain, user, k);
+                    assert_eq!(bits(&got), bits(&want), "{tag}");
+                    if k == 300 {
+                        assert_eq!((got[298].0, got[299].0), (0, 150), "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn k_larger_than_catalog_returns_all_items() {
         let e = engine(12, 2);
-        let (_, list) = e.topk(0, 0, 100);
+        let (list, _) = e.topk_traced(0, 0, 100);
         assert_eq!(list.len(), 12);
         // sorted by rank_order
         for w in list.windows(2) {
@@ -1701,6 +1699,13 @@ mod tests {
         // the leader-inline path still answers with zero live workers
         let (_, t) = e.topk_traced(0, 9, 5);
         assert_eq!(t.degraded, DegradedKind::Unavailable);
+        // With breakers disabled none trips, and every one of the 8
+        // shards (60 items / 8) is attempted, and fails, on all 21 passes.
+        let s = e.stats();
+        assert_eq!(s.breaker_opens.get(), 0);
+        assert_eq!(s.breaker_half_opens.get(), 0);
+        assert_eq!(s.breaker_short_circuits.get(), 0);
+        assert_eq!(s.shard_failures.get(), 21 * 8);
     }
 
     #[test]
@@ -1717,14 +1722,14 @@ mod tests {
             },
         )
         .expect("valid test snapshot");
-        let (_, before) = e.topk(0, 1, 5);
+        let (before, _) = e.topk_traced(0, 1, 5);
         let err = e
             .reload(snapshot(64, 99))
             .expect_err("chaos must reject the reload");
         assert!(matches!(err, CheckpointError::Format(_)), "{err:?}");
         assert_eq!(e.epoch(), 0, "failed reload must not bump the epoch");
-        let (hit, after) = e.topk(0, 1, 5);
-        assert!(hit, "cache survives a failed reload");
+        let (after, t) = e.topk_traced(0, 1, 5);
+        assert!(t.cache_hit, "cache survives a failed reload");
         assert_eq!(before, after);
         assert_eq!(e.stats().reload_failed.get(), 1);
         assert_eq!(e.stats().reload_ok.get(), 0);

@@ -17,8 +17,9 @@
 //!   the `trace` op);
 //! * [`supervise`] — a supervision tree for worker threads: restart
 //!   with deterministic backoff under a budget, then quarantine;
-//! * [`breaker`] — per-shard circuit breakers with pass-ordinal (not
-//!   wall-clock) cooldowns and single-probe half-open recovery;
+//! * per-shard circuit breakers ([`nm_sync::breaker`]) with
+//!   pass-ordinal (not wall-clock) cooldowns and single-probe half-open
+//!   recovery;
 //! * [`chaos`] — deterministic fault injection ([`ChaosConfig`]) keyed
 //!   on logical coordinates, plus clock-free [`Deadline`]s; same seed,
 //!   same fault schedule, same responses (see DESIGN.md "Failure model
@@ -26,7 +27,6 @@
 //!
 //! Everything is `std`-only; the crate adds no external dependencies.
 
-pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod engine;
@@ -37,10 +37,10 @@ pub mod snapshot;
 pub mod stats;
 pub mod supervise;
 
-pub use breaker::{Admission, BreakerConfig, BreakerState, ShardBreakers, Transition};
 pub use cache::{CacheKey, CachedList, ShardedLru};
 pub use chaos::{seeded_backoff, Chaos, ChaosConfig, Deadline};
 pub use engine::{Engine, EngineConfig, EngineScorer, ResilienceConfig};
+pub use nm_sync::breaker::BreakerConfig;
 pub use protocol::Request;
 pub use reqtrace::{DegradedKind, Exemplar, ExemplarRing, ReqTiming, StageUs};
 pub use server::{Server, ServerConfig};

@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -387,9 +387,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
             }
             _ => line,
         };
-        let started = Instant::now();
-        let (response, shutdown) = dispatch(effective, shared, started, conn, req_no);
-        stats.latency.record_duration(started.elapsed());
+        let req_sw = nm_obs::clock::Stopwatch::start();
+        let (response, shutdown) = dispatch(effective, shared, req_sw, conn, req_no);
+        stats.latency.record(req_sw.elapsed_us());
         // Deterministic tick source: the global completed-request
         // ordinal (not per-connection req_no) drives sampling, so a
         // seeded workload replays to the same recorded series no
@@ -428,16 +428,16 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
 }
 
 /// Handles one request line; returns `(response, shutdown_requested)`.
-/// `conn`/`req_no` key the chaos draws for deterministic fault replay.
+/// `req_sw` was started when the request arrived. `conn`/`req_no` key
+/// the chaos draws for deterministic fault replay.
 fn dispatch(
     line: &str,
     shared: &Shared,
-    started: Instant,
+    req_sw: nm_obs::clock::Stopwatch,
     conn: u64,
     req_no: u64,
 ) -> (String, bool) {
     let stats = shared.engine.stats();
-    let req_sw = nm_obs::clock::Stopwatch::start();
     let _root = nm_obs::trace::span("serve.request");
     let parse_sw = nm_obs::clock::Stopwatch::start();
     let parsed = {
@@ -476,7 +476,7 @@ fn dispatch(
                     let _s = nm_obs::trace::span("serve.serialize");
                     if rt.degraded != DegradedKind::None {
                         protocol::encode_topk_degraded(user, domain, rt.degraded.as_str(), &list)
-                    } else if started.elapsed() > shared.cfg.deadline {
+                    } else if Duration::from_micros(req_sw.elapsed_us()) > shared.cfg.deadline {
                         // Full answer, but the wire-level budget passed
                         // while serializing: still usable, flagged.
                         protocol::encode_topk_degraded(user, domain, "deadline", &list)
@@ -616,19 +616,25 @@ mod tests {
     }
 
     fn roundtrip(addr: SocketAddr, lines: &[&str]) -> Vec<Json> {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
+        try_roundtrip(addr, lines).unwrap()
+    }
+
+    /// [`roundtrip`] that reports I/O failures, such as a connection
+    /// the server shed and reset before the request was written.
+    fn try_roundtrip(addr: SocketAddr, lines: &[&str]) -> std::io::Result<Vec<Json>> {
+        let stream = TcpStream::connect(addr)?;
+        let mut writer = stream.try_clone()?;
         let mut reader = BufReader::new(stream);
         let mut out = Vec::new();
         for l in lines {
-            writer.write_all(l.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
+            writer.write_all(l.as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
             let mut resp = String::new();
-            reader.read_line(&mut resp).unwrap();
-            out.push(Json::parse(resp.trim()).unwrap());
+            reader.read_line(&mut resp)?;
+            out.push(Json::parse(resp.trim()).map_err(std::io::Error::other)?);
         }
-        out
+        Ok(out)
     }
 
     #[test]
@@ -718,14 +724,19 @@ mod tests {
         assert!(err.contains("overloaded"), "unexpected error: {err}");
         assert!(engine.stats().shed.get() >= 1);
 
-        // Releasing the holder frees the slot and service resumes.
+        // Releasing the holder frees the slot and service resumes. Until
+        // the holder's handler has released it, a probe is itself shed:
+        // it reads an `overloaded` reply, or a reset when the server
+        // closed before the request was written. Both mean "retry".
         drop(holder);
         let mut served = false;
         for _ in 0..200 {
-            let resps = roundtrip(addr, &[r#"{"op":"topk","user":1,"domain":"a","k":3}"#]);
-            if resps[0].get("ok").unwrap().as_bool() == Some(true) {
-                served = true;
-                break;
+            let probe = try_roundtrip(addr, &[r#"{"op":"topk","user":1,"domain":"a","k":3}"#]);
+            if let Ok(resps) = probe {
+                if resps[0].get("ok").unwrap().as_bool() == Some(true) {
+                    served = true;
+                    break;
+                }
             }
             thread::sleep(Duration::from_millis(5));
         }

@@ -4,10 +4,11 @@
 //! wire request, the training telemetry, and process-local snapshots
 //! all share a single implementation and JSON format.
 
+use nm_obs::clock::Stopwatch;
 use nm_obs::json::Json;
 use nm_obs::{Counter, Histogram, HistogramSnapshot, Registry};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Back-compat alias: the old `nm-serve` latency histogram is now the
 /// shared [`nm_obs::Histogram`] (same buckets, plus overflow-aware
@@ -20,7 +21,7 @@ pub type LatencyHistogram = Histogram;
 /// on the hot path, and read the whole set via [`Stats::obs_json`].
 #[derive(Debug)]
 pub struct Stats {
-    started: Instant,
+    started: Stopwatch,
     registry: Registry,
     pub requests: Arc<Counter>,
     pub errors: Arc<Counter>,
@@ -88,7 +89,7 @@ impl Stats {
     pub fn new() -> Self {
         let registry = Registry::new();
         Self {
-            started: Instant::now(),
+            started: Stopwatch::start(),
             requests: registry.counter("serve.requests"),
             errors: registry.counter("serve.errors"),
             shed: registry.counter("serve.shed"),
@@ -133,7 +134,7 @@ impl Stats {
     }
 
     pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
+        Duration::from_micros(self.started.elapsed_us())
     }
 
     /// Completed-request throughput since start.

@@ -207,7 +207,7 @@ fn probe_engine(engine: &Engine, cfg: &StreamConfig) -> u64 {
         let n = cfg.probe_users.min(snap.n_users(domain));
         for u in 0..n {
             let sw = clock::Stopwatch::start();
-            let _ = engine.topk(domain, u as u32, cfg.probe_k);
+            let _ = engine.topk_traced(domain, u as u32, cfg.probe_k);
             lat.push(sw.elapsed_us());
         }
     }

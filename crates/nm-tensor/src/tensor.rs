@@ -261,22 +261,6 @@ impl Tensor {
         Self::built(self.rows + other.rows, self.cols, data)
     }
 
-    /// Copy of rows `[start, end)`.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Self {
-        assert!(
-            start <= end && end <= self.rows,
-            "slice_rows: range {}..{} out of bounds ({} rows)",
-            start,
-            end,
-            self.rows
-        );
-        Self::built(
-            end - start,
-            self.cols,
-            self.data[start * self.cols..end * self.cols].to_vec(),
-        )
-    }
-
     /// Copy of columns `[start, end)`.
     pub fn slice_cols(&self, start: usize, end: usize) -> Self {
         assert!(
@@ -432,10 +416,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_rows_and_cols() {
+    fn slice_cols_copies_the_column_range() {
         let t = Tensor::new(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let s = t.slice_rows(1, 3);
-        assert_eq!(s.data(), &[3., 4., 5., 6.]);
         let c = t.slice_cols(1, 2);
         assert_eq!(c.data(), &[2., 4., 6.]);
     }
