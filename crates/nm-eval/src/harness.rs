@@ -22,9 +22,10 @@ where
 /// Total order for ranked `(item, score)` pairs: score descending, then
 /// item id ascending. Breaking score ties by id makes every ranking in
 /// the workspace — offline audits here and the serving engine's top-K
-/// heap — deterministic and mutually comparable. NaN scores rank after
-/// every number, so the order stays total (as `sort_by` requires)
-/// whatever a snapshot or model produces.
+/// selection — deterministic and mutually comparable. NaN scores rank
+/// after every number, so the order stays total (as `sort_by` and
+/// `select_nth_unstable_by` require) whatever a snapshot or model
+/// produces.
 pub fn rank_order(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1)
         .unwrap_or_else(|| a.1.is_nan().cmp(&b.1.is_nan()))

@@ -26,10 +26,11 @@
 //!   concurrent same-domain requests, and serves them with one shared
 //!   pass over the item table; followers block until the leader posts
 //!   their result (or their [`Deadline`] expires);
-//! * **deterministic top-K**: shard-local bounded selections merged
-//!   under the total order of [`nm_eval::rank_order`] (score
-//!   descending, then item id ascending), so results are independent
-//!   of shard boundaries, worker count, and batching;
+//! * **deterministic top-K**: each shard and then each request's merged
+//!   pool is cut to k by one linear-time selection, and only the final
+//!   k are sorted, all under the total order of [`nm_eval::rank_order`]
+//!   (score descending, then item id ascending), so results are
+//!   independent of shard boundaries, worker count, and batching;
 //! * a sharded **LRU cache** keyed by `(user, domain, k, epoch)`,
 //!   invalidated by bumping the epoch on snapshot reload. Degraded
 //!   answers are never inserted.
@@ -140,65 +141,14 @@ const CACHE_SHARDS: usize = 8;
 /// Slowest-request exemplars retained for `{"op":"trace"}`.
 const EXEMPLAR_CAPACITY: usize = 32;
 
-/// Heap entry ordered by [`rank_order`]: `Greater` means *worse*
-/// ranked, so a max-heap's root is the worst retained candidate.
-struct HeapPair((u32, f32));
-
-impl PartialEq for HeapPair {
-    fn eq(&self, other: &Self) -> bool {
-        rank_order(&self.0, &other.0) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for HeapPair {}
-
-impl PartialOrd for HeapPair {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapPair {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        rank_order(&self.0, &other.0)
-    }
-}
-
-/// A bounded top-K selector: a size-`k` max-heap (on *badness*) whose
-/// root is evicted whenever a better candidate arrives. `rank_order`'s
-/// item-id tie-break makes the retained set — not just its order —
-/// deterministic under score ties.
-struct BoundedTopK {
-    k: usize,
-    heap: std::collections::BinaryHeap<HeapPair>,
-}
-
-impl BoundedTopK {
-    fn new(k: usize) -> Self {
-        Self {
-            k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, pair: (u32, f32)) {
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(HeapPair(pair));
-        } else if let Some(worst) = self.heap.peek() {
-            if rank_order(&pair, &worst.0) == std::cmp::Ordering::Less {
-                self.heap.pop();
-                self.heap.push(HeapPair(pair));
-            }
-        }
-    }
-
-    /// The retained candidates, in no particular order.
-    fn into_unordered(self) -> impl Iterator<Item = (u32, f32)> {
-        self.heap.into_iter().map(|h| h.0)
+/// Cuts `pool` to its best `k` candidates under [`rank_order`], in no
+/// particular order: one linear-time selection, then a truncate.
+/// `rank_order` is a total order with ties broken by item id, so the
+/// kept set is unique whatever order the pool arrived in.
+fn select_top_k(pool: &mut Vec<(u32, f32)>, k: usize) {
+    if k < pool.len() {
+        pool.select_nth_unstable_by(k, rank_order);
+        pool.truncate(k);
     }
 }
 
@@ -479,11 +429,9 @@ fn drain_worklist(a: &AttemptCtx) {
         for &user in &b.users {
             let out = &mut scores[..hi - lo];
             b.snap.score_user_range(b.domain, user, lo, hi, out);
-            let mut local = BoundedTopK::new(b.k_max);
-            for (j, &sc) in out.iter().enumerate() {
-                local.push(((lo + j) as u32, sc));
-            }
-            staged.push(local.into_unordered().collect());
+            let mut local: Vec<(u32, f32)> = (lo as u32..).zip(out.iter().copied()).collect();
+            select_top_k(&mut local, b.k_max);
+            staged.push(local);
         }
         for (r, chunk) in staged.into_iter().enumerate() {
             lock_recover(&b.candidates[r]).extend(chunk);
@@ -1060,8 +1008,10 @@ fn worklist(ctx: &BatchCtx, admissions: &[Admission], attempt: u32) -> Vec<usize
         .collect()
 }
 
-/// Stage `serve.merge`: each request's candidate pool in rank order,
-/// cut to its `k`.
+/// Stage `serve.merge`: each request's candidate pool selected down to
+/// its `k`, then only those `k` sorted into rank order. Each answer is
+/// an exact-size copy: the cache keeps it, and the pool's allocation
+/// holds every shard's candidates.
 fn merge(ctx: &BatchCtx, batch: &[Pending], timing: &mut BatchTiming) -> Vec<CachedList> {
     let (lists, us) = stage("serve.merge", || {
         batch
@@ -1069,11 +1019,13 @@ fn merge(ctx: &BatchCtx, batch: &[Pending], timing: &mut BatchTiming) -> Vec<Cac
             .zip(&ctx.candidates)
             .map(|(req, pool)| {
                 let mut pool = lock_recover(pool);
+                select_top_k(&mut pool, req.k);
+                let mut list = pool.to_vec();
                 // Shard append order varies with scheduling; the total
-                // order of rank_order makes the final sort canonical.
-                pool.sort_by(rank_order);
-                pool.truncate(req.k);
-                Arc::new(std::mem::take(&mut *pool))
+                // order of rank_order makes the final sort canonical,
+                // and an unstable sort exact, since item ids are unique.
+                list.sort_unstable_by(rank_order);
+                Arc::new(list)
             })
             .collect()
     });
@@ -1101,29 +1053,29 @@ mod tests {
     use nm_tensor::{Tensor, TensorRng};
 
     #[test]
-    fn bounded_heap_matches_sorting_top_k() {
+    fn select_top_k_matches_sorting_top_k() {
         let mut rng = TensorRng::seed_from(3);
-        for (k, nan_every) in [0usize, 1, 5, 50, 500]
+        for (k, input) in [0usize, 1, 5, 50, 199, 200, 201, 500]
             .into_iter()
-            .flat_map(|k| [(k, None), (k, Some(7))])
+            .flat_map(|k| ["ties", "nan", "signed_zero"].map(|input| (k, input)))
         {
-            // include duplicated scores to exercise the id tie-break,
-            // and NaN scores (on the lowest id too), which rank last
+            // Every input repeats scores, to exercise the id tie-break.
+            // "nan" puts NaN, which ranks last, on every 7th id (id 0
+            // included); "signed_zero" ties -0.0 with 0.0 on every 3rd
+            // id, and each must keep its own bits.
             let pairs: Vec<(u32, f32)> = (0..200u32)
-                .map(|i| match nan_every {
-                    Some(n) if i % n == 0 => (i, f32::NAN),
-                    _ => (i, (rng.uniform(0.0, 8.0)).floor()),
+                .map(|i| match input {
+                    "nan" if i % 7 == 0 => (i, f32::NAN),
+                    "signed_zero" if i % 3 == 0 => (i, if i % 2 == 0 { -0.0 } else { 0.0 }),
+                    _ => (i, rng.uniform(0.0, 8.0).floor()),
                 })
                 .collect();
             let want = top_k(&pairs, k);
-            let mut heap = BoundedTopK::new(k);
-            for &p in &pairs {
-                heap.push(p);
-            }
-            let mut got: Vec<(u32, f32)> = heap.into_unordered().collect();
+            let mut got = pairs.clone();
+            select_top_k(&mut got, k);
             got.sort_by(rank_order);
-            assert_eq!(bits(&got), bits(&want), "k={k} nan_every={nan_every:?}");
-            if nan_every.is_some() && k >= pairs.len() {
+            assert_eq!(bits(&got), bits(&want), "k={k} input={input}");
+            if input == "nan" && k >= pairs.len() {
                 let nan_ids: Vec<u32> = (0..200).step_by(7).collect();
                 let tail = &want[pairs.len() - nan_ids.len()..];
                 assert_eq!(tail.iter().map(|p| p.0).collect::<Vec<_>>(), nan_ids);
@@ -1187,10 +1139,16 @@ mod tests {
             let e = engine(100, workers);
             for domain in 0..2 {
                 for user in [0u32, 3, 9] {
-                    for k in [1, 7, 16, 100, 500] {
+                    for k in [1, 7, 15, 16, 17, 100, 500] {
                         let (got, _) = e.topk_traced(domain, user, k);
                         let want = reference_topk(&e, domain, user, k);
                         assert_eq!(*got, want, "w={workers} d={domain} u={user} k={k}");
+                        // the answer does not keep the merge pool's allocation
+                        assert_eq!(
+                            got.capacity(),
+                            got.len(),
+                            "w={workers} d={domain} u={user} k={k}"
+                        );
                     }
                 }
             }

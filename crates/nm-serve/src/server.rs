@@ -264,12 +264,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             let stats = shared.engine.stats();
             stats.shed.inc();
             stats.errors.inc();
-            let mut s = stream;
             let msg = protocol::encode_error(&format!(
                 "overloaded: {} connections already active, retry later",
                 shared.cfg.max_conns
             ));
-            let _ = s.write_all(msg.as_bytes()).and_then(|_| s.write_all(b"\n"));
+            let _ = send_line(&stream, msg);
             continue;
         }
         if shared.stopping.load(Ordering::Acquire) {
@@ -295,17 +294,23 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Writes one newline-terminated reply, best-effort (the peer may
-/// already be gone when we report a protocol error).
-fn send_line(writer: &mut TcpStream, msg: &str) {
-    let _ = writer
-        .write_all(msg.as_bytes())
-        .and_then(|_| writer.write_all(b"\n"))
-        .and_then(|_| writer.flush());
+/// Sends one reply line: `msg` and its `\n` in one buffer, with one
+/// `write_all`. Every line the server sends goes through here. Written
+/// as two pieces, the newline would wait behind the unacknowledged
+/// message under Nagle's algorithm until the peer's delayed ACK fires,
+/// about 40 ms later. Error replies ignore the result: the peer may
+/// already be gone.
+fn send_line(mut stream: &TcpStream, mut msg: String) -> std::io::Result<()> {
+    msg.push('\n');
+    stream.write_all(msg.as_bytes())
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::Result<()> {
     stream.set_read_timeout(Some(shared.cfg.idle_timeout))?;
+    // A reply longer than one segment must not wait for an ACK before
+    // its last, partial segment goes out. Without the option the
+    // connection still works, only slower, so a failure is ignored.
+    let _ = stream.set_nodelay(true);
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let stats = shared.engine.stats();
@@ -324,9 +329,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 stats.errors.inc();
                 stats.proto_timeouts.inc();
-                send_line(
-                    &mut writer,
-                    &protocol::encode_proto_error(
+                let _ = send_line(
+                    &writer,
+                    protocol::encode_proto_error(
                         "timeout",
                         "idle timeout: no complete frame arrived in time; closing",
                     ),
@@ -352,7 +357,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
                 stats.proto_torn.inc();
                 protocol::encode_proto_error("torn", "connection closed mid-frame")
             };
-            send_line(&mut writer, &msg);
+            let _ = send_line(&writer, msg);
             return Ok(());
         }
         let line = match String::from_utf8(buf) {
@@ -361,9 +366,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
                 stats.requests.inc();
                 stats.errors.inc();
                 stats.proto_malformed.inc();
-                send_line(
-                    &mut writer,
-                    &protocol::encode_proto_error("malformed", "frame is not valid UTF-8"),
+                let _ = send_line(
+                    &writer,
+                    protocol::encode_proto_error("malformed", "frame is not valid UTF-8"),
                 );
                 continue; // framing is intact; keep the connection
             }
@@ -412,9 +417,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
                 return Ok(());
             }
         }
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        send_line(&writer, response)?;
         if shutdown || shared.stopping.load(Ordering::Acquire) {
             // Wake the accept loop (it blocks in accept()) so it
             // observes the stop flag and exits.
@@ -627,9 +630,7 @@ mod tests {
         let mut reader = BufReader::new(stream);
         let mut out = Vec::new();
         for l in lines {
-            writer.write_all(l.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+            writer.write_all(format!("{l}\n").as_bytes())?;
             let mut resp = String::new();
             reader.read_line(&mut resp)?;
             out.push(Json::parse(resp.trim()).map_err(std::io::Error::other)?);

@@ -232,3 +232,40 @@ fn reload_over_wire_swaps_answers() {
     std::fs::remove_dir_all(&dir).ok();
     server.stop();
 }
+
+/// A persistent connection must answer at the speed of the server, not
+/// of a TCP timer. A reply sent as two writes (the JSON, then its `\n`)
+/// waits under Nagle's algorithm for the client's delayed ACK, about
+/// 40 ms per round trip, so these 100 round trips would take ~4 s.
+#[test]
+fn sequential_round_trips_on_one_connection_do_not_stall() {
+    let engine = Arc::new(
+        Engine::new(make_snapshot(3), EngineConfig::default()).expect("valid test snapshot"),
+    );
+    let mut server =
+        Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    // A plain client: default socket options, one write per request.
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let sw = nm_obs::clock::Stopwatch::start();
+    for r in 0..100u32 {
+        let user = r % 32;
+        writer
+            .write_all(
+                format!("{{\"op\":\"topk\",\"user\":{user},\"domain\":\"a\",\"k\":50}}\n")
+                    .as_bytes(),
+            )
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = Json::parse(line.trim()).expect("corrupt response");
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{line}");
+    }
+    let elapsed_ms = sw.elapsed_us() / 1000;
+    assert!(
+        elapsed_ms < 1000,
+        "100 round trips on one connection took {elapsed_ms} ms"
+    );
+    server.stop();
+}
