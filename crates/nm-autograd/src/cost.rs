@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 
 /// Shapes feeding one op's cost rule: output plus up to two dense
 /// operands (`(0, 0)` when absent), and the sparse operand's `nnz` for
-/// `spmm`.
+/// `spmm` or the candidate count `idx.len()` for `attend_rows`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpDims {
     pub out: (usize, usize),
@@ -131,7 +131,7 @@ pub fn cost_for(kind: &str, d: &OpDims) -> Option<OpCost> {
             bwd_flops: 4 * e,
             bwd_bytes: 3 * e * S,
         },
-        "concat_cols" | "reshape" => OpCost {
+        "concat_cols" => OpCost {
             fwd_flops: 0,
             fwd_bytes: 2 * e * S,
             bwd_flops: 0,
@@ -206,18 +206,21 @@ pub fn cost_for(kind: &str, d: &OpDims) -> Option<OpCost> {
             bwd_flops: 3 * ea,
             bwd_bytes: 3 * ea * S,
         },
-        "repeat_rows" => OpCost {
-            fwd_flops: 0,
-            fwd_bytes: (ea + e) * S,
-            bwd_flops: e,
-            bwd_bytes: (e + ea) * S,
-        },
-        "segment_sum_rows" => OpCost {
-            fwd_flops: ea,
-            fwd_bytes: (ea + e) * S,
-            bwd_flops: 0,
-            bwd_bytes: (e + ea) * S,
-        },
+        // Per candidate (nnz = N·C of them, width D): a D-wide dot, the
+        // softmax's 5 flops, and a D-wide weighted add forward; backward
+        // re-dots for the scores gradient, runs the softmax adjoint, and
+        // forms the user-row and candidate-row gradients. Candidate rows
+        // are read once per pass; each index is 4 bytes.
+        "attend_rows" => {
+            let width = d.out.1 as u64;
+            let nnz = d.nnz as u64;
+            OpCost {
+                fwd_flops: 4 * nnz * width + 5 * nnz,
+                fwd_bytes: (ea + nnz * width + nnz + e) * S + nnz * 4,
+                bwd_flops: 8 * nnz * width + 4 * nnz,
+                bwd_bytes: (e + nnz + 2 * ea + nnz * width + eb) * S + nnz * 4,
+            }
+        }
         _ => return None,
     };
     Some(c)

@@ -8,18 +8,19 @@
 //! A [`Tape`] records a DAG of operations as they execute. Each op
 //! returns a [`Var`] — a copyable index into the tape. Calling
 //! [`Tape::backward`] on a scalar loss seeds its gradient with 1 and
-//! sweeps the tape in reverse, accumulating gradients into every node
-//! that requires them. One tape is built per training step and dropped
-//! afterwards; parameters live outside the tape (see `nm-nn`) and are
-//! re-bound as leaves each step.
+//! sweeps the tape in reverse, adding each contribution straight into
+//! its parent's gradient slot; only leaves keep their gradients. One
+//! tape is built per training step and dropped afterwards; parameters
+//! live outside the tape (see `nm-nn`) and are re-bound as leaves each
+//! step.
 //!
 //! ## Op coverage
 //!
 //! Exactly what the paper's models need: dense matmul, broadcasting
 //! arithmetic, ReLU/sigmoid/tanh/softplus, row softmax, CSR SpMM (the
 //! GNN aggregation kernel, Eq. 4/9/14), row gather/scatter (embedding
-//! lookup), repeat/segment-sum rows (per-user attention over candidate
-//! items, Eq. 18–19), concat, slicing, reductions, and a fused
+//! lookup), a fused per-user attention over candidate items
+//! (`attend_rows`, Eq. 18–19), concat, slicing, reductions, and a fused
 //! numerically-stable `BCE-with-logits` loss (Eq. 21).
 //!
 //! Gradients are verified against central finite differences in

@@ -54,15 +54,12 @@ pub(crate) enum Op {
     SumAxisCols(Var),
     /// Row-wise softmax.
     SoftmaxRows(Var),
+    /// Intra node complementing (Eq. 18–19): `(x, table, idx, alpha)`,
+    /// row `i` of `x` attending over the `C` rows of `table` named by
+    /// `idx[i*C..(i+1)*C]`; `alpha` keeps the `N x C` softmax weights.
+    AttendRows(Var, Var, Rc<Vec<u32>>, Tensor),
     /// Fused mean BCE-with-logits against fixed targets -> scalar.
     BceWithLogits(Var, Rc<Tensor>),
-    /// Same element count, new shape (backward reshapes to the parent's
-    /// stored shape).
-    Reshape(Var),
-    /// Each row repeated `k` times consecutively (`R -> R*k` rows).
-    RepeatRows(Var, usize),
-    /// Sum of consecutive groups of `k` rows (`R*k -> R` rows).
-    SegmentSumRows(Var, usize),
     /// Sum of squared elements -> scalar (L2 regularization).
     SumSquares(Var),
 }
@@ -95,10 +92,8 @@ impl Op {
             MeanAll(..) => "mean_all",
             SumAxisCols(..) => "sum_axis_cols",
             SoftmaxRows(..) => "softmax_rows",
+            AttendRows(..) => "attend_rows",
             BceWithLogits(..) => "bce_with_logits",
-            Reshape(..) => "reshape",
-            RepeatRows(..) => "repeat_rows",
-            SegmentSumRows(..) => "segment_sum_rows",
             SumSquares(..) => "sum_squares",
         }
     }
@@ -113,7 +108,8 @@ impl Op {
             | Mul(a, b, _)
             | Matmul(a, b)
             | ConcatCols(a, b)
-            | RowwiseDot(a, b) => [Some(a), Some(b)],
+            | RowwiseDot(a, b)
+            | AttendRows(a, b, ..) => [Some(a), Some(b)],
             Scale(a, _)
             | AddScalar(a)
             | Neg(a)
@@ -129,9 +125,6 @@ impl Op {
             | SumAxisCols(a)
             | SoftmaxRows(a)
             | BceWithLogits(a, _)
-            | Reshape(a)
-            | RepeatRows(a, _)
-            | SegmentSumRows(a, _)
             | SumSquares(a) => [Some(a), None],
         }
     }

@@ -42,10 +42,8 @@ pub const OP_KINDS: &[&str] = &[
     "mean_all",
     "sum_axis_cols",
     "softmax_rows",
+    "attend_rows",
     "bce_with_logits",
-    "reshape",
-    "repeat_rows",
-    "segment_sum_rows",
     "sum_squares",
 ];
 
@@ -56,12 +54,11 @@ pub enum TraceMeta {
     None,
     /// `slice_cols` half-open range.
     Slice { start: usize, end: usize },
-    /// `gather_rows`: number of gathered indices and the largest index.
+    /// `gather_rows` and `attend_rows`: number of indices and the
+    /// largest index.
     Gather { len: usize, max_index: usize },
     /// `spmm`: the sparse operand's shape (rows x cols of `adj`).
     Spmm { rows: usize, cols: usize },
-    /// `repeat_rows` / `segment_sum_rows` group size.
-    Group { k: usize },
     /// `bce_with_logits`: shape of the fixed target tensor.
     Targets { rows: usize, cols: usize },
 }
@@ -124,13 +121,7 @@ fn describe(op: &Op) -> (&'static str, TraceMeta) {
         Op::Softplus(..) => ("softplus", TraceMeta::None),
         Op::ConcatCols(..) => ("concat_cols", TraceMeta::None),
         &Op::SliceCols(_, start, end) => ("slice_cols", TraceMeta::Slice { start, end }),
-        Op::GatherRows(_, idx) => (
-            "gather_rows",
-            TraceMeta::Gather {
-                len: idx.len(),
-                max_index: idx.iter().copied().max().unwrap_or(0) as usize,
-            },
-        ),
+        Op::GatherRows(_, idx) => ("gather_rows", gather_meta(idx)),
         // `Op` stores the precomputed transpose; report the forward
         // operand's shape (adj = adj_t^T).
         Op::Spmm(adj_t, _) => (
@@ -145,6 +136,7 @@ fn describe(op: &Op) -> (&'static str, TraceMeta) {
         Op::MeanAll(..) => ("mean_all", TraceMeta::None),
         Op::SumAxisCols(..) => ("sum_axis_cols", TraceMeta::None),
         Op::SoftmaxRows(..) => ("softmax_rows", TraceMeta::None),
+        Op::AttendRows(_, _, idx, _) => ("attend_rows", gather_meta(idx)),
         Op::BceWithLogits(_, targets) => (
             "bce_with_logits",
             TraceMeta::Targets {
@@ -152,10 +144,14 @@ fn describe(op: &Op) -> (&'static str, TraceMeta) {
                 cols: targets.cols(),
             },
         ),
-        Op::Reshape(..) => ("reshape", TraceMeta::None),
-        &Op::RepeatRows(_, k) => ("repeat_rows", TraceMeta::Group { k }),
-        &Op::SegmentSumRows(_, k) => ("segment_sum_rows", TraceMeta::Group { k }),
         Op::SumSquares(..) => ("sum_squares", TraceMeta::None),
+    }
+}
+
+fn gather_meta(idx: &[u32]) -> TraceMeta {
+    TraceMeta::Gather {
+        len: idx.len(),
+        max_index: idx.iter().copied().max().unwrap_or(0) as usize,
     }
 }
 
@@ -190,8 +186,8 @@ mod tests {
         let mut t = Tape::new();
         let x = t.leaf(Tensor::zeros(4, 2));
         let g = t.gather_rows(x, Rc::new(vec![3, 0, 3]));
-        let r = t.repeat_rows(g, 5);
-        let sl = t.slice_cols(r, 1, 2);
+        let a = t.attend_rows(g, x, Rc::new(vec![1, 2, 0, 2, 1, 1]));
+        let sl = t.slice_cols(a, 1, 2);
         let trace = t.export_trace();
         assert_eq!(
             trace[g.0].meta,
@@ -200,7 +196,13 @@ mod tests {
                 max_index: 3
             }
         );
-        assert_eq!(trace[r.0].meta, TraceMeta::Group { k: 5 });
+        assert_eq!(
+            trace[a.0].meta,
+            TraceMeta::Gather {
+                len: 6,
+                max_index: 2
+            }
+        );
         assert_eq!(trace[sl.0].meta, TraceMeta::Slice { start: 1, end: 2 });
     }
 

@@ -264,21 +264,25 @@ fn grad_bce_with_logits() {
 }
 
 #[test]
-fn grad_reshape_repeat_segment() {
-    check_unary(rand_t(2, 6, 31), |t, v| {
-        let r = t.reshape(v, 4, 3);
-        let sq = t.mul(r, r);
-        t.sum_all(sq)
+fn grad_attend_rows_both_sides() {
+    // 2 users x 3 candidates over a 4-row table, with a repeated id
+    let idx = Rc::new(vec![3u32, 0, 3, 1, 2, 1]);
+    let x = rand_t(2, 3, 31);
+    let table = rand_t(4, 3, 32);
+    let w = rand_t(2, 3, 33);
+    check_unary(x.clone(), |t, v| {
+        let tb = t.constant(table.clone());
+        let a = t.attend_rows(v, tb, Rc::clone(&idx));
+        let ww = t.constant(w.clone());
+        let m = t.mul(a, ww);
+        t.sum_all(m)
     });
-    check_unary(rand_t(3, 2, 32), |t, v| {
-        let r = t.repeat_rows(v, 4);
-        let sq = t.mul(r, r);
-        t.sum_all(sq)
-    });
-    check_unary(rand_t(6, 2, 33), |t, v| {
-        let s = t.segment_sum_rows(v, 3);
-        let sq = t.mul(s, s);
-        t.sum_all(sq)
+    check_unary(table, |t, v| {
+        let xc = t.constant(x.clone());
+        let a = t.attend_rows(xc, v, Rc::clone(&idx));
+        let ww = t.constant(w.clone());
+        let m = t.mul(a, ww);
+        t.sum_all(m)
     });
 }
 

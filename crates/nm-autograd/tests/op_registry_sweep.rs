@@ -205,35 +205,22 @@ fn sweep_entry(kind: &str) -> Option<(Tensor, Builder)> {
                 t.sum_all(w)
             }),
         ),
+        // One leaf as both the attending rows and the table: both
+        // gradient paths, and duplicate candidates, in one entry.
+        "attend_rows" => (
+            rand_t(3, 4, 134),
+            Box::new(|t, v| {
+                let a = t.attend_rows(v, v, Rc::new(vec![0, 2, 2, 1, 0, 1]));
+                let c = t.constant(rand_t(3, 4, 135));
+                let w = t.mul(a, c);
+                t.sum_all(w)
+            }),
+        ),
         "bce_with_logits" => (
             rand_t(2, 3, 129),
             Box::new(|t, v| {
                 let targets = Rc::new(Tensor::new(2, 3, vec![1., 0., 1., 0., 1., 0.]));
                 t.bce_with_logits_mean(v, targets)
-            }),
-        ),
-        "reshape" => (
-            rand_t(2, 6, 130),
-            Box::new(|t, v| {
-                let r = t.reshape(v, 4, 3);
-                let sq = t.mul(r, r);
-                t.sum_all(sq)
-            }),
-        ),
-        "repeat_rows" => (
-            rand_t(3, 2, 131),
-            Box::new(|t, v| {
-                let r = t.repeat_rows(v, 4);
-                let sq = t.mul(r, r);
-                t.sum_all(sq)
-            }),
-        ),
-        "segment_sum_rows" => (
-            rand_t(6, 2, 132),
-            Box::new(|t, v| {
-                let s = t.segment_sum_rows(v, 3);
-                let sq = t.mul(s, s);
-                t.sum_all(sq)
             }),
         ),
         "sum_squares" => (rand_t(2, 3, 133), Box::new(|t, v| t.sum_squares(v))),

@@ -83,7 +83,7 @@ pub fn verify_trace(trace: &[TraceNode]) -> Vec<Diagnostic> {
 fn check_arity(i: usize, n: &TraceNode, out: &mut Vec<Diagnostic>) -> bool {
     let want: usize = match n.kind {
         "leaf" => 0,
-        "add" | "sub" | "mul" | "matmul" | "concat_cols" | "rowwise_dot" => 2,
+        "add" | "sub" | "mul" | "matmul" | "concat_cols" | "rowwise_dot" | "attend_rows" => 2,
         _ => 1,
     };
     if n.parents.len() != want {
@@ -255,54 +255,44 @@ fn derive_shape(
             }
             Some((1, 1))
         }
-        "reshape" => {
-            let a = p(0);
-            // Target shape lives only in the recorded output; verify the
-            // element count is preserved.
-            if a.0 * a.1 != n.rows * n.cols {
+        "attend_rows" => {
+            let (x, t) = (p(0), p(1));
+            let TraceMeta::Gather { len, max_index } = n.meta else {
                 out.push(diag(
-                    "reshape",
+                    "meta",
+                    node_loc(i, n),
+                    "attend_rows without Gather metadata".into(),
+                ));
+                return None;
+            };
+            if x.0 == 0 || !len.is_multiple_of(x.0) {
+                out.push(diag(
+                    "attend-group",
+                    node_loc(i, n),
+                    format!("{len} candidates do not split over {} rows", x.0),
+                ));
+                return None;
+            }
+            if len > 0 && max_index >= t.0 {
+                out.push(diag(
+                    "gather-oob",
+                    node_loc(i, n),
+                    format!("index {max_index} out of bounds for {} rows", t.0),
+                ));
+                return None;
+            }
+            if x.1 != t.1 {
+                out.push(diag(
+                    "attend-cols",
                     node_loc(i, n),
                     format!(
-                        "element count changes: {}x{} -> {}x{}",
-                        a.0, a.1, n.rows, n.cols
+                        "column counts differ: {}x{} vs table {}x{}",
+                        x.0, x.1, t.0, t.1
                     ),
                 ));
                 return None;
             }
-            Some((n.rows, n.cols))
-        }
-        "repeat_rows" => {
-            let a = p(0);
-            let TraceMeta::Group { k } = n.meta else {
-                out.push(diag(
-                    "meta",
-                    node_loc(i, n),
-                    "repeat_rows without Group metadata".into(),
-                ));
-                return None;
-            };
-            Some((a.0 * k, a.1))
-        }
-        "segment_sum_rows" => {
-            let a = p(0);
-            let TraceMeta::Group { k } = n.meta else {
-                out.push(diag(
-                    "meta",
-                    node_loc(i, n),
-                    "segment_sum_rows without Group metadata".into(),
-                ));
-                return None;
-            };
-            if k == 0 || a.0 % k != 0 {
-                out.push(diag(
-                    "segment",
-                    node_loc(i, n),
-                    format!("{} rows not divisible into groups of {k}", a.0),
-                ));
-                return None;
-            }
-            Some((a.0 / k, a.1))
+            Some(x)
         }
         _ => unreachable!("kind membership checked against OP_KINDS"),
     }
@@ -466,7 +456,8 @@ pub fn compare_symbolic(
                 None => {
                     // New varying dim: accept it only if it is a clean
                     // multiple of a known batch mapping (e.g. B*k rows
-                    // from repeat_rows) — record it for consistency.
+                    // gathered k per batch row) — record it for
+                    // consistency.
                     let derived = dims_a.iter().zip(dims_b).find_map(|(&ba, &bb)| {
                         (ba != 0 && da % ba == 0 && db == (da / ba) * bb).then_some(())
                     });

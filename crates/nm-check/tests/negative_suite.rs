@@ -7,6 +7,7 @@
 //! ```text
 //! 1. shape mismatch            -> shape/matmul + shape/mismatch
 //! 2. illegal broadcast         -> shape/broadcast
+//! 2b. attend_rows candidates   -> shape/attend-group + shape/gather-oob
 //! 3. graph cycle               -> shape/cycle
 //! 4. unreachable parameter     -> shape/unreachable-param (bound + never-bound forms)
 //! 4b. missing op cost rule     -> profile/op-coverage
@@ -101,6 +102,24 @@ fn seeded_illegal_broadcast() {
     // (3x4) + (2x4) is no legal broadcast class
     let trace = vec![leaf(3, 4), leaf(2, 4), node("add", vec![0, 1], 3, 4)];
     assert_only_rule(&verify_trace(&trace), "shape/broadcast");
+}
+
+#[test]
+fn seeded_attend_rows_candidates() {
+    // 3 users over a 5-row table: `len` candidate ids, the largest `max_index`
+    let attend = |len, max_index| {
+        let mut a = node("attend_rows", vec![0, 1], 3, 4);
+        a.meta = TraceMeta::Gather { len, max_index };
+        vec![leaf(3, 4), leaf(5, 4), a]
+    };
+    assert!(
+        verify_trace(&attend(12, 4)).is_empty(),
+        "4 per user, ids < 5"
+    );
+    // 10 candidates do not split over 3 users
+    assert_only_rule(&verify_trace(&attend(10, 4)), "shape/attend-group");
+    // id 5 is past the table's last row
+    assert_only_rule(&verify_trace(&attend(12, 5)), "shape/gather-oob");
 }
 
 #[test]

@@ -29,6 +29,25 @@ pub fn softplus_scalar(x: f32) -> f32 {
     }
 }
 
+/// Softmax of one row in place, with max-subtraction for stability.
+///
+/// This is Eq. 18's virtual-link-strength kernel, shared by
+/// [`Tensor::softmax_rows`] and the tape's fused complementing op so
+/// both round alike.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - m).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
+}
+
 impl Tensor {
     /// Elementwise ReLU.
     pub fn relu(&self) -> Tensor {
@@ -62,25 +81,13 @@ impl Tensor {
         self.map(|x| x.max(eps).ln())
     }
 
-    /// Row-wise softmax with max-subtraction for stability.
-    ///
-    /// This is Eq. 18's virtual-link-strength kernel.
+    /// Row-wise softmax with max-subtraction for stability: each row
+    /// goes through [`softmax_in_place`].
     pub fn softmax_rows(&self) -> Tensor {
         let (r, c) = self.shape();
         let mut out = self.clone();
         for i in 0..r {
-            let row = &mut out.data_mut()[i * c..(i + 1) * c];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - m).exp();
-                sum += *v;
-            }
-            if sum > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            }
+            softmax_in_place(&mut out.data_mut()[i * c..(i + 1) * c]);
         }
         out
     }

@@ -26,7 +26,7 @@ mod reduce;
 pub mod rng;
 mod tensor;
 
-pub use activations::{sigmoid_scalar, softplus_scalar};
+pub use activations::{sigmoid_scalar, softmax_in_place, softplus_scalar};
 pub use error::TensorError;
 pub use init::TensorRng;
 pub use matmul::{vecmat_blocked, vecmat_nt_blocked};

@@ -387,18 +387,9 @@ impl NmcdrModel {
     /// the candidate items, `inc_layers` passes.
     fn complement_forward(&self, tape: &mut Tape, z: usize, mut x: Var, v0: Var) -> Var {
         let bridges = self.bridges.borrow();
-        let idx = Rc::clone(&bridges[z].comp_idx);
-        let n = tape.value(x).rows();
-        let c = idx.len() / n;
+        let idx = &bridges[z].comp_idx;
         for _ in 0..self.cfg.inc_layers {
-            let cand = tape.gather_rows(v0, Rc::clone(&idx)); // (N*C) x D
-            let urep = tape.repeat_rows(x, c);
-            let scores = tape.rowwise_dot(urep, cand); // (N*C) x 1
-            let sc = tape.reshape(scores, n, c);
-            let alpha = tape.softmax_rows(sc);
-            let aw = tape.reshape(alpha, n * c, 1);
-            let weighted = tape.mul(cand, aw);
-            let agg = tape.segment_sum_rows(weighted, c); // N x D
+            let agg = tape.attend_rows(x, v0, Rc::clone(idx)); // N x D
             let transformed = self.w_ref[z].forward(tape, agg);
             x = tape.add(x, transformed);
         }
@@ -479,8 +470,8 @@ impl NmcdrModel {
     /// `(n_users_z, dim)` — the gate (Eq. 8/16) and residual (Eq. 11/17)
     /// structure of intra/inter matching is only well-formed when a
     /// stage's input and output agree — and the complementing attention
-    /// (Eq. 18–19) must return to the same shape after its
-    /// repeat/softmax/segment-sum round trip. Item tables must stay
+    /// (Eq. 18–19), one `attend_rows` op over each user's candidate
+    /// items, must return the users' shape. Item tables must stay
     /// `(n_items_z, dim)`. Returns one message per violated invariant;
     /// `nmcdr check` surfaces them as diagnostics.
     pub fn check_stage_invariants(&self) -> Vec<String> {
