@@ -1,5 +1,7 @@
 //! Compressed sparse row matrices.
 
+use nm_tensor::lanes;
+
 /// A sparse `n_rows x n_cols` matrix in CSR form with `f32` values.
 ///
 /// Invariants (checked by [`Csr::validate`], enforced by constructors):
@@ -99,7 +101,7 @@ impl Csr {
                 return Err("indptr not non-decreasing".into());
             }
         }
-        let nnz = *self.indptr.last().unwrap() as usize;
+        let nnz = self.indptr[self.n_rows] as usize;
         if self.indices.len() != nnz || self.values.len() != nnz {
             return Err(format!(
                 "indices/values length {}/{} != nnz {}",
@@ -214,14 +216,20 @@ impl Csr {
         out
     }
 
-    /// Dense SpMM: `out += self * dense`, where `dense` is row-major
-    /// `n_cols x width` and `out` is row-major `n_rows x width`.
+    /// Dense SpMM: `self * dense` into a fresh buffer, where `dense` is
+    /// row-major `n_cols x width` and the result is row-major
+    /// `n_rows x width`.
     ///
-    /// The hot kernel of every GNN layer in the workspace.
+    /// The hot kernel of every GNN layer in the workspace. Each 16-, 8-,
+    /// 4- or 1-wide block of an output row stays in registers across all
+    /// of that row's nonzeros and is stored once, on the widest path
+    /// [`lanes::dispatch`] finds. Every output element still starts at
+    /// `+0.0` and adds `v * d` in nonzero order, so its bits match a
+    /// loop that loads and stores the row once per nonzero.
     ///
     /// # Panics
-    /// If slice lengths don't match the shapes.
-    pub fn spmm_accumulate(&self, dense: &[f32], width: usize, out: &mut [f32]) {
+    /// If `dense.len() != n_cols * width`.
+    pub fn spmm(&self, dense: &[f32], width: usize) -> Vec<f32> {
         assert_eq!(
             dense.len(),
             self.n_cols * width,
@@ -230,30 +238,56 @@ impl Csr {
             self.n_cols,
             width
         );
-        assert_eq!(
-            out.len(),
-            self.n_rows * width,
-            "spmm: out len {} != {}x{}",
-            out.len(),
-            self.n_rows,
-            width
+        let mut out = vec![0.0; self.n_rows * width];
+        lanes::dispatch(
+            #[inline(always)]
+            |_| self.spmm_rows(dense, width, &mut out),
         );
+        out
+    }
+
+    /// Writes every row of `self * dense` into `out`, block by block.
+    #[inline(always)]
+    fn spmm_rows(&self, dense: &[f32], width: usize, out: &mut [f32]) {
         for r in 0..self.n_rows {
             let orow = &mut out[r * width..(r + 1) * width];
-            for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
-                let drow = &dense[c as usize * width..(c as usize + 1) * width];
-                for (o, &d) in orow.iter_mut().zip(drow) {
-                    *o += v * d;
-                }
+            let mut j = 0;
+            while j + 16 <= width {
+                self.spmm_block::<16>(r, j, dense, width, orow);
+                j += 16;
+            }
+            if j + 8 <= width {
+                self.spmm_block::<8>(r, j, dense, width, orow);
+                j += 8;
+            }
+            if j + 4 <= width {
+                self.spmm_block::<4>(r, j, dense, width, orow);
+                j += 4;
+            }
+            for j in j..width {
+                self.spmm_block::<1>(r, j, dense, width, orow);
             }
         }
     }
 
-    /// Dense SpMM into a fresh zeroed buffer.
-    pub fn spmm(&self, dense: &[f32], width: usize) -> Vec<f32> {
-        let mut out = vec![0.0; self.n_rows * width];
-        self.spmm_accumulate(dense, width, &mut out);
-        out
+    /// Columns `j..j + W` of output row `r`, summed in registers.
+    #[inline(always)]
+    fn spmm_block<const W: usize>(
+        &self,
+        r: usize,
+        j: usize,
+        dense: &[f32],
+        width: usize,
+        orow: &mut [f32],
+    ) {
+        let mut acc = [0.0f32; W];
+        for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
+            let d = &dense[c as usize * width + j..][..W];
+            for (a, &x) in acc.iter_mut().zip(d) {
+                *a += v * x;
+            }
+        }
+        orow[j..j + W].copy_from_slice(&acc);
     }
 
     /// Converts to a dense row-major buffer (tests / tiny graphs only).
@@ -269,6 +303,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nm_tensor::TensorRng;
 
     fn sample() -> Csr {
         // 3x4:
@@ -334,6 +369,62 @@ mod tests {
         let out = c.spmm(&dense, 2);
         // row0 = 1*[1,2] + 2*[5,6] = [11,14]; row1 = 0; row2 = 3*[3,4]+4*[7,8]=[37,44]
         assert_eq!(out, vec![11., 14., 0., 0., 37., 44.]);
+    }
+
+    /// Reference SpMM: load, add and store the output row once per
+    /// nonzero, starting from a zeroed buffer.
+    fn spmm_reference(m: &Csr, dense: &[f32], width: usize) -> Vec<f32> {
+        let mut out = vec![0.0; m.n_rows() * width];
+        for r in 0..m.n_rows() {
+            let orow = &mut out[r * width..(r + 1) * width];
+            for (&c, &v) in m.row_indices(r).iter().zip(m.row_values(r)) {
+                let drow = &dense[c as usize * width..(c as usize + 1) * width];
+                for (o, &d) in orow.iter_mut().zip(drow) {
+                    *o += v * d;
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn spmm_bitwise_matches_per_nonzero_loop() {
+        // Signed zeros and subnormals, then infinities and NaN, which
+        // make `inf * 0` and `NaN + NaN` meet in one sum.
+        let finite = [0.0, -0.0, 1e-40, -3e-39];
+        let non_finite = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0, 1e-40];
+        let mut rng = TensorRng::seed_from(19);
+        for specials in [&finite[..], &non_finite[..]] {
+            let mut draw = |n: usize| -> Vec<f32> {
+                let mut xs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    xs.push(if rng.index(6) == 0 {
+                        specials[rng.index(specials.len())]
+                    } else {
+                        rng.normal()
+                    });
+                }
+                xs
+            };
+            // 6 x 5: rows 1 and 4 are empty, rows 0, 3 and 5 repeat
+            // column ids.
+            let indptr = vec![0, 4, 4, 7, 10, 10, 14];
+            let indices = vec![1, 3, 1, 1, 0, 4, 2, 2, 4, 2, 4, 0, 4, 4];
+            let m = Csr::from_raw(6, 5, indptr, indices, draw(14)).unwrap();
+            for width in [1, 2, 3, 4, 7, 8, 15, 16, 17, 33] {
+                let dense = draw(5 * width);
+                let want = bits(&spmm_reference(&m, &dense, width));
+                let mut base = vec![0.0; 6 * width];
+                m.spmm_rows(&dense, width, &mut base);
+                assert_eq!(bits(&base), want, "baseline, width {width}");
+                let got = bits(&m.spmm(&dense, width));
+                assert_eq!(got, want, "dispatched, width {width}");
+            }
+        }
     }
 
     #[test]

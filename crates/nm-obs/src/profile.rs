@@ -27,6 +27,7 @@
 use crate::clock::Stopwatch;
 use crate::json::{escape, Json};
 use crate::parse::parse_trace;
+use nm_tensor::lanes;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -298,15 +299,24 @@ pub fn parse_trace_timings(
 /// (`obs.profile.peaks`), never into the deterministic dump.
 pub fn probe_peaks() -> Peaks {
     Peaks {
-        gflops: probe_gflops(),
+        // on the widest path the matmul and SpMM kernels run
+        gflops: lanes::dispatch(
+            #[inline(always)]
+            |_| probe_gflops(),
+        ),
         gbps: probe_gbps(),
     }
 }
 
+/// 64 independent multiply-add chains: enough to keep both the
+/// multiplier and the adder busy through their latency, so the loop
+/// measures throughput, not the latency of a few chains. The decay
+/// multiplier keeps the accumulators at a finite nonzero steady state
+/// (~1e-3).
+#[inline(always)]
 fn probe_gflops() -> f64 {
-    // Eight independent multiply-add chains; the decay multiplier keeps
-    // the accumulators at a finite nonzero steady state (~1e-3).
-    let mut acc = [1.0f32; 8];
+    const CHAINS: usize = 64;
+    let mut acc = [1.0f32; CHAINS];
     let m = 0.999_999f32;
     let mut flops = 0u64;
     let sw = Stopwatch::start();
@@ -316,7 +326,7 @@ fn probe_gflops() -> f64 {
                 *a = *a * m + 1e-9;
             }
         }
-        flops += 50_000 * 8 * 2;
+        flops += 50_000 * CHAINS as u64 * 2;
         if sw.elapsed_us() >= 10_000 {
             break;
         }

@@ -20,6 +20,7 @@ pub mod alloc;
 mod activations;
 mod error;
 mod init;
+pub mod lanes;
 mod matmul;
 mod ops;
 mod reduce;

@@ -18,14 +18,25 @@
 //!
 //! The three products share one kernel, [`Gemm`]. It keeps an `M x W`
 //! block of outputs in a local array that LLVM holds in registers,
-//! streams `k` through it, and writes the block once. At the x86-64
-//! SSE2 baseline (16 registers of 4 lanes) each tile shape keeps eight
-//! registers of accumulators, enough independent adds to cover the add
-//! latency, and leaves room for the right-hand row and the broadcast
-//! left value: a 4 x 16 tile would need all 16 registers for its
-//! accumulators alone. Narrow outputs (fewer than 4 columns, such as a
-//! prediction head's single logit) take 8 rows per tile instead, so
-//! eight row sums run side by side rather than one serial chain.
+//! streams `k` through it, and writes the block once. Both x86-64 paths
+//! have 16 vector registers, and [`lanes::dispatch`] picks the tile
+//! heights for their width when the kernel runs:
+//!
+//! | path | 16 columns | 8 columns |
+//! |------|------------|-----------|
+//! | SSE2 baseline, 4 lanes | 2 x 16 | 4 x 8 |
+//! | AVX2, 8 lanes | 4 x 16 | 8 x 8 |
+//!
+//! Each shape keeps eight registers of accumulators, enough independent
+//! adds to cover the add latency, and leaves room for the right-hand
+//! row and the broadcast left value. On the baseline a 4 x 16 tile
+//! would need all 16 registers for its accumulators alone. Under AVX2
+//! the baseline's 2 x 16 tile fills only four accumulators, half the
+//! adds needed in flight, which is why building the whole program for
+//! AVX2 made it slower than the SSE2 build. Narrow outputs (fewer than
+//! 8 columns, such as a prediction head's single logit) take 8 rows per
+//! tile on both paths, so eight row sums run side by side rather than
+//! one serial chain.
 //!
 //! # Zero skip without a branch
 //!
@@ -42,6 +53,7 @@
 //! comes out identical, which IEEE 754 leaves open when two NaNs meet
 //! in an add.
 
+use crate::lanes::{self, Lanes};
 use crate::Tensor;
 
 /// The shared kernel: `out = init + lhs * rhs`, where `lhs(i, kk)` reads
@@ -57,17 +69,34 @@ struct Gemm<'a, F> {
 
 impl<F: Fn(usize, usize) -> f32> Gemm<'_, F> {
     /// Fills the row-major `rows x c` output `out`; returns whether any
-    /// output is NaN.
-    fn run(&self, out: &mut [f32]) -> bool {
+    /// output is NaN. Runs the tiles of the widest path this CPU has or,
+    /// with `BASE`, which only the tests set, the baseline's on any CPU.
+    fn run<const BASE: bool>(&self, out: &mut [f32]) -> bool {
+        if BASE {
+            return self.tiles::<2, 4>(out);
+        }
+        lanes::dispatch(
+            #[inline(always)]
+            |lanes| match lanes {
+                Lanes::Avx2 => self.tiles::<4, 8>(out),
+                Lanes::Base => self.tiles::<2, 4>(out),
+            },
+        )
+    }
+
+    /// [`Gemm::run`] with `M16` rows per 16-column tile and `M8` rows per
+    /// 8-column tile.
+    #[inline(always)]
+    fn tiles<const M16: usize, const M8: usize>(&self, out: &mut [f32]) -> bool {
         let c = self.c;
         let mut nan = false;
         let mut j = 0;
         while j + 16 <= c {
-            nan |= self.columns::<2, 16>(j, out);
+            nan |= self.columns::<M16, 16>(j, out);
             j += 16;
         }
         if j + 8 <= c {
-            nan |= self.columns::<4, 8>(j, out);
+            nan |= self.columns::<M8, 8>(j, out);
             j += 8;
         }
         if j + 4 <= c {
@@ -81,6 +110,7 @@ impl<F: Fn(usize, usize) -> f32> Gemm<'_, F> {
     }
 
     /// Output columns `j..j + W` of every row, `M` rows per tile.
+    #[inline(always)]
     fn columns<const M: usize, const W: usize>(&self, j: usize, out: &mut [f32]) -> bool {
         let mut nan = false;
         let mut i = 0;
@@ -95,6 +125,7 @@ impl<F: Fn(usize, usize) -> f32> Gemm<'_, F> {
     }
 
     /// The `M x W` output block at `(i, j)`, accumulated in registers.
+    #[inline(always)]
     fn tile<const M: usize, const W: usize>(&self, i: usize, j: usize, out: &mut [f32]) -> bool {
         let mut acc = [[self.init; W]; M];
         for (kk, brow) in self.rhs.chunks_exact(self.c).enumerate() {
@@ -173,6 +204,11 @@ impl Tensor {
     /// # Panics
     /// On inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
+        self.matmul_on::<false>(rhs)
+    }
+
+    /// [`Tensor::matmul`]; `BASE` as in [`Gemm::run`].
+    fn matmul_on<const BASE: bool>(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols(),
             rhs.rows(),
@@ -193,7 +229,7 @@ impl Tensor {
             c,
             init: 0.0,
         };
-        if gemm.run(out.data_mut()) {
+        if gemm.run::<BASE>(out.data_mut()) {
             matmul_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
         out
@@ -206,6 +242,11 @@ impl Tensor {
     /// # Panics
     /// If the operands' row counts differ.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
+        self.matmul_tn_on::<false>(rhs)
+    }
+
+    /// [`Tensor::matmul_tn`]; `BASE` as in [`Gemm::run`].
+    fn matmul_tn_on<const BASE: bool>(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.rows(),
             rhs.rows(),
@@ -226,7 +267,7 @@ impl Tensor {
             c,
             init: 0.0,
         };
-        if gemm.run(out.data_mut()) {
+        if gemm.run::<BASE>(out.data_mut()) {
             matmul_tn_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
         out
@@ -240,6 +281,11 @@ impl Tensor {
     /// # Panics
     /// If the operands' column counts differ.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
+        self.matmul_nt_on::<false>(rhs)
+    }
+
+    /// [`Tensor::matmul_nt`]; `BASE` as in [`Gemm::run`].
+    fn matmul_nt_on<const BASE: bool>(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols(),
             rhs.cols(),
@@ -261,7 +307,7 @@ impl Tensor {
             c,
             init: -0.0,
         };
-        if gemm.run(out.data_mut()) {
+        if gemm.run::<BASE>(out.data_mut()) {
             matmul_nt_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
         out
@@ -496,10 +542,19 @@ mod tests {
         assert!(got == want, "{what}: {got:x?} != reference {want:x?}");
     }
 
+    /// Checks a product's `[baseline, dispatched]` results against `want`.
+    fn assert_both(what: &str, [base, dispatched]: [Tensor; 2], want: &Tensor) {
+        assert_bits(&base, want, &format!("baseline {what}"));
+        assert_bits(&dispatched, want, what);
+    }
+
     #[test]
     fn tiled_kernels_bitwise_match_reference_loops() {
+        // Each product runs twice: on the baseline tiles, which every CPU
+        // runs, and on the dispatched path, which is AVX2 where the CPU
+        // has it. Row counts straddle the tile heights 2, 4 and 8.
         let mut rng = TensorRng::seed_from(13);
-        for r in [0, 1, 2, 3, 5, 17, 863] {
+        for r in [0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 863] {
             for k in [1, 8, 16, 17, 32] {
                 let a = operand(r, k, &LHS_SPECIALS, &mut rng);
                 for rhs_specials in [&RHS_FINITE[..], &RHS_NON_FINITE[..]] {
@@ -511,24 +566,24 @@ mod tests {
                         &format!("rowwise_dot {shape}"),
                     );
                     let at = a.transpose();
-                    for c in [1, 2, 8, 15, 16, 17, 33] {
+                    for c in [1, 2, 8, 15, 16, 17, 24, 33] {
                         let shape = format!("{shape} c={c}");
                         let b = operand(k, c, rhs_specials, &mut rng);
-                        assert_bits(
-                            &a.matmul(&b),
-                            &reference_matmul(&a, &b),
+                        assert_both(
                             &format!("matmul {shape}"),
+                            [a.matmul_on::<true>(&b), a.matmul(&b)],
+                            &reference_matmul(&a, &b),
                         );
-                        assert_bits(
-                            &at.matmul_tn(&b),
-                            &reference_matmul_tn(&at, &b),
+                        assert_both(
                             &format!("matmul_tn {shape}"),
+                            [at.matmul_tn_on::<true>(&b), at.matmul_tn(&b)],
+                            &reference_matmul_tn(&at, &b),
                         );
                         let bt = operand(c, k, rhs_specials, &mut rng);
-                        assert_bits(
-                            &a.matmul_nt(&bt),
-                            &reference_matmul_nt(&a, &bt),
+                        assert_both(
                             &format!("matmul_nt {shape}"),
+                            [a.matmul_nt_on::<true>(&bt), a.matmul_nt(&bt)],
+                            &reference_matmul_nt(&a, &bt),
                         );
                     }
                 }
