@@ -65,9 +65,9 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    /// Registry name of this op — one of [`crate::OP_KINDS`]. Cheaper
-    /// than `optrace::describe` (no metadata build), for the profiler's
-    /// per-op hot path.
+    /// Registry name of this op — one of [`crate::OP_KINDS`]. The one
+    /// op-name table: the profiler's per-op hot path and the op-trace
+    /// export both read it.
     pub(crate) fn kind(&self) -> &'static str {
         use Op::*;
         match self {

@@ -90,61 +90,37 @@ impl Tape {
     pub fn export_trace(&self) -> Vec<TraceNode> {
         self.nodes_for_trace()
             .map(|(op, shape, requires_grad)| {
-                let (kind, meta) = describe(op);
                 let parents = op.parents().iter().flatten().map(|v| v.0).collect();
                 TraceNode {
-                    kind,
+                    kind: op.kind(),
                     parents,
                     rows: shape.0,
                     cols: shape.1,
                     requires_grad,
-                    meta,
+                    meta: describe(op),
                 }
             })
             .collect()
     }
 }
 
-fn describe(op: &Op) -> (&'static str, TraceMeta) {
+/// The shape-relevant metadata of `op`; its kind comes from
+/// [`Op::kind`], the one op-name table.
+fn describe(op: &Op) -> TraceMeta {
     match op {
-        Op::Leaf { .. } => ("leaf", TraceMeta::None),
-        Op::Add(..) => ("add", TraceMeta::None),
-        Op::Sub(..) => ("sub", TraceMeta::None),
-        Op::Mul(..) => ("mul", TraceMeta::None),
-        Op::Scale(..) => ("scale", TraceMeta::None),
-        Op::AddScalar(..) => ("add_scalar", TraceMeta::None),
-        Op::Neg(..) => ("neg", TraceMeta::None),
-        Op::Matmul(..) => ("matmul", TraceMeta::None),
-        Op::Relu(..) => ("relu", TraceMeta::None),
-        Op::Sigmoid(..) => ("sigmoid", TraceMeta::None),
-        Op::Tanh(..) => ("tanh", TraceMeta::None),
-        Op::Softplus(..) => ("softplus", TraceMeta::None),
-        Op::ConcatCols(..) => ("concat_cols", TraceMeta::None),
-        &Op::SliceCols(_, start, end) => ("slice_cols", TraceMeta::Slice { start, end }),
-        Op::GatherRows(_, idx) => ("gather_rows", gather_meta(idx)),
+        &Op::SliceCols(_, start, end) => TraceMeta::Slice { start, end },
+        Op::GatherRows(_, idx) | Op::AttendRows(_, _, idx, _) => gather_meta(idx),
         // `Op` stores the precomputed transpose; report the forward
         // operand's shape (adj = adj_t^T).
-        Op::Spmm(adj_t, _) => (
-            "spmm",
-            TraceMeta::Spmm {
-                rows: adj_t.n_cols(),
-                cols: adj_t.n_rows(),
-            },
-        ),
-        Op::RowwiseDot(..) => ("rowwise_dot", TraceMeta::None),
-        Op::SumAll(..) => ("sum_all", TraceMeta::None),
-        Op::MeanAll(..) => ("mean_all", TraceMeta::None),
-        Op::SumAxisCols(..) => ("sum_axis_cols", TraceMeta::None),
-        Op::SoftmaxRows(..) => ("softmax_rows", TraceMeta::None),
-        Op::AttendRows(_, _, idx, _) => ("attend_rows", gather_meta(idx)),
-        Op::BceWithLogits(_, targets) => (
-            "bce_with_logits",
-            TraceMeta::Targets {
-                rows: targets.rows(),
-                cols: targets.cols(),
-            },
-        ),
-        Op::SumSquares(..) => ("sum_squares", TraceMeta::None),
+        Op::Spmm(adj_t, _) => TraceMeta::Spmm {
+            rows: adj_t.n_cols(),
+            cols: adj_t.n_rows(),
+        },
+        Op::BceWithLogits(_, targets) => TraceMeta::Targets {
+            rows: targets.rows(),
+            cols: targets.cols(),
+        },
+        _ => TraceMeta::None,
     }
 }
 

@@ -67,11 +67,7 @@ pub trait CdrModel: Module {
     /// implementations).
     fn bce_for(&self, tape: &mut Tape, domain: Domain, batch: &Batch) -> Var {
         let logits = self.forward_logits(tape, domain, &batch.users, &batch.items);
-        let targets = Rc::new(
-            nm_tensor::Tensor::from_vec(batch.labels.len(), 1, batch.labels.clone())
-                .expect("labels length"),
-        );
-        tape.bce_with_logits_mean(logits, targets)
+        tape.bce_with_logits_mean(logits, crate::common::label_tensor(&batch.labels))
     }
 
     /// Hook called once per epoch before batching (graph resampling,

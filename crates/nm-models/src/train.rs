@@ -20,6 +20,7 @@ use nm_eval::{evaluate_ranking, RankingSummary};
 use nm_nn::checkpoint;
 use nm_obs::trace;
 use nm_optim::{clip_global_norm, Adam, Optimizer};
+use std::path::Path;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
@@ -515,8 +516,9 @@ pub fn train_joint_ft_with(
         // call resumes from here, so the state must reach disk.
         let boundary =
             epoch + 1 == cfg.epochs || stopped_early || (cap != 0 && done_this_call >= cap);
-        if ft.checkpoint.is_some() && (epoch % every == every - 1 || boundary) {
-            persist_checkpoint(ft, &last_good, epoch)?;
+        let due = epoch % every == every - 1 || boundary;
+        if let (Some(path), true) = (&ft.checkpoint, due) {
+            persist_checkpoint(ft, path, &last_good, epoch)?;
             trace::event("checkpoint", |e| {
                 e.u("epoch", epoch as u64)
                     .u("bytes", last_good.len() as u64);
@@ -648,10 +650,14 @@ fn run_epoch(
     })
 }
 
-/// Writes the checkpoint for `epoch`, applying any injected write
-/// faults (torn write, bitflip, kill-after-write).
-fn persist_checkpoint(ft: &FtConfig, bytes: &[u8], epoch: usize) -> Result<(), TrainError> {
-    let path = ft.checkpoint.as_ref().expect("caller checked");
+/// Writes the checkpoint for `epoch` to `path`, applying any injected
+/// write faults (torn write, bitflip, kill-after-write).
+fn persist_checkpoint(
+    ft: &FtConfig,
+    path: &Path,
+    bytes: &[u8],
+    epoch: usize,
+) -> Result<(), TrainError> {
     if ft.faults.torn_write_after_epoch == Some(epoch) {
         // Simulate dying midway through the tmp-file write: a partial
         // temp file appears, the real checkpoint is never replaced.

@@ -344,6 +344,7 @@ mod tests {
                 at_us: 100,
                 tid: 0,
                 seq: 0,
+                f: crate::Json::Obj(Vec::new()),
             },
         ]
     }

@@ -2,6 +2,8 @@
 //! protocol, trace-line parsing, and the `results/` row files, with no
 //! external deps. (Moved here from nm-serve so the observability stack
 //! can *read* its own trace schema; nm-serve re-exports it unchanged.)
+//! [`Json::fields`] is the strict object accessor every nm-obs
+//! artifact reader goes through.
 //!
 //! Supported: objects, arrays, strings (with `\uXXXX` escapes),
 //! finite numbers, booleans, null. Input depth is bounded so a
@@ -134,6 +136,93 @@ impl Json {
             Json::Obj(pairs) => Some(pairs),
             _ => None,
         }
+    }
+
+    /// Reads this value as an object whose every key is in `allowed`:
+    /// the one strictness check behind every nm-obs artifact reader.
+    /// `what` names the object in every error, here and in the
+    /// [`Fields`] getters.
+    pub fn fields<'a>(
+        &'a self,
+        what: impl Into<String>,
+        allowed: &[&str],
+    ) -> Result<Fields<'a>, String> {
+        let what = what.into();
+        let Json::Obj(pairs) = self else {
+            return Err(format!("{what} is not a JSON object"));
+        };
+        if let Some((k, _)) = pairs.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return Err(format!("unknown field {k:?} on {what}"));
+        }
+        Ok(Fields { what, pairs })
+    }
+}
+
+/// An object checked by [`Json::fields`]. Each typed getter fails with
+/// an error naming the object and the field when the field is missing
+/// or has the wrong type.
+pub struct Fields<'a> {
+    what: String,
+    pairs: &'a [(String, Json)],
+}
+
+impl<'a> Fields<'a> {
+    /// The field's value, if present (for optional fields).
+    pub fn get(&self, key: &str) -> Option<&'a Json> {
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The field's value, whatever its type (for a nested object that
+    /// its own field table reads).
+    pub fn value(&self, key: &str) -> Result<&'a Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field {key:?} on {}", self.what))
+    }
+
+    fn typed<T>(
+        &self,
+        key: &str,
+        want: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        read(self.value(key)?).ok_or_else(|| {
+            format!(
+                "field {key:?} on {} has the wrong type: not {want}",
+                self.what
+            )
+        })
+    }
+
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "a non-negative integer", Json::as_u64)
+    }
+
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", Json::as_f64)
+    }
+
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.typed(key, "a string", Json::as_str)
+    }
+
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "a boolean", Json::as_bool)
+    }
+
+    pub fn arr(&self, key: &str) -> Result<&'a [Json], String> {
+        self.typed(key, "an array", Json::as_arr)
+    }
+
+    /// An array of non-negative integers.
+    pub fn u64s(&self, key: &str) -> Result<Vec<u64>, String> {
+        self.typed(key, "an array of non-negative integers", |v| {
+            v.as_arr()?.iter().map(Json::as_u64).collect()
+        })
+    }
+
+    /// The key/value pairs of an object-valued field.
+    pub fn obj(&self, key: &str) -> Result<&'a [(String, Json)], String> {
+        self.typed(key, "an object", Json::as_obj)
     }
 }
 

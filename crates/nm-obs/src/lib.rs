@@ -19,8 +19,10 @@
 //!   feed per-thread aggregates (`calls / total / self` time and value
 //!   sums) that the trainer drains once per epoch.
 //! * [`json`] + [`parse`] — the dependency-free JSON value type (also
-//!   re-exported by nm-serve for the wire protocol) and the strict
-//!   schema-v1 trace parser behind `nmcdr obs validate`.
+//!   re-exported by nm-serve for the wire protocol) with its strict
+//!   object accessor, and the one line reader behind every artifact
+//!   reader: traces (`nmcdr obs validate`), profile dumps and
+//!   flight-recorder series.
 //! * [`report`] — offline aggregation over a recorded trace: the
 //!   self-time/total-time profile behind `nmcdr obs report` and the
 //!   structural validator behind `nmcdr obs validate` / `scripts/ci.sh`.

@@ -1,76 +1,72 @@
-//! Strict trace-line parsing (schema version 1).
+//! Strict reading of the nm-obs line-JSON artifacts (schema version 1).
 //!
-//! Reads a line-JSON trace produced by any [`crate::trace`] sink —
-//! `train --trace-out`, the serve exemplar renderer — and parses each
-//! line against the documented schema *strictly*: unknown fields,
-//! missing fields, and type mismatches are errors, so the schema
-//! cannot drift silently. This used to live in the CLI; it moved here
-//! so library tests (e.g. nm-serve's `{"op":"trace"}` smoke test) can
-//! validate wire output against the same parser `nmcdr obs validate`
-//! uses.
+//! Traces from any [`crate::trace`] sink (`train --trace-out`, the
+//! serve exemplar renderer), profile dumps and flight-recorder series
+//! are all read line by line through [`read_lines`], and every object
+//! in them through [`Json::fields`] with one field table per schema:
+//! unknown fields, missing fields, and type mismatches are errors, so
+//! no schema can drift silently. Library tests (e.g. nm-serve's
+//! `{"op":"trace"}` smoke test) validate wire output against the same
+//! parser `nmcdr obs validate` uses.
 
-use crate::json::Json;
+use crate::json::{Fields, Json};
 use crate::report::TraceRecord;
 
-/// Parses every non-empty line of a trace file, strictly.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut records = Vec::new();
-    // Telemetry sampler ticks are logical ordinals, strictly
-    // increasing process-wide (sink order == seq order, so file order
-    // is emission order); a repeat or regression means a corrupted or
-    // hand-edited trace.
-    let mut last_sample_tick: Option<u64> = None;
-    // Profile-dump op ordinals are strictly increasing (one per op
-    // kind, canonical order); per-epoch timing ordinals only
-    // non-decreasing (every kind of one epoch shares that epoch's
-    // tick).
-    let mut last_profile_op_tick: Option<u64> = None;
-    let mut last_profile_time_tick: Option<u64> = None;
+/// Runs `read` on every non-blank line of a line-JSON artifact, in
+/// file order, prefixing any error with the line's 1-based number.
+pub(crate) fn read_lines(
+    text: &str,
+    mut read: impl FnMut(&Json) -> Result<(), String>,
+) -> Result<(), String> {
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let n = i + 1;
-        let json = Json::parse(line).map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
-        let name = json.get("name").and_then(Json::as_str);
-        let tick = || {
-            json.get("f")
-                .and_then(|f| f.get("tick"))
-                .and_then(Json::as_u64)
-            // missing/mistyped ticks are caught by record_from
-        };
-        match name {
-            Some("obs.sample") => match (tick(), last_sample_tick) {
-                (Some(t), Some(last)) if t <= last => {
-                    return Err(format!(
-                        "line {n}: obs.sample tick {t} not strictly after {last}"
-                    ));
-                }
-                (Some(t), _) => last_sample_tick = Some(t),
-                (None, _) => {}
-            },
-            Some("obs.profile.op") => match (tick(), last_profile_op_tick) {
-                (Some(t), Some(last)) if t <= last => {
-                    return Err(format!(
-                        "line {n}: obs.profile.op tick {t} not strictly after {last}"
-                    ));
-                }
-                (Some(t), _) => last_profile_op_tick = Some(t),
-                (None, _) => {}
-            },
-            Some("obs.profile.time") => match (tick(), last_profile_time_tick) {
-                (Some(t), Some(last)) if t < last => {
-                    return Err(format!(
-                        "line {n}: obs.profile.time tick {t} regressed below {last}"
-                    ));
-                }
-                (Some(t), _) => last_profile_time_tick = Some(t),
-                (None, _) => {}
-            },
-            _ => {}
-        }
-        records.push(record_from(&json).map_err(|e| format!("line {n}: {e}"))?);
+        Json::parse(line)
+            .map_err(|e| format!("not valid JSON: {e}"))
+            .and_then(|json| read(&json))
+            .map_err(|e| format!("line {}: {e}", i + 1))?;
     }
+    Ok(())
+}
+
+/// Events whose payload `tick` is ordered along the trace, and whether
+/// it must strictly increase. Telemetry sampler ticks are logical
+/// ordinals, strictly increasing process-wide (sink order == seq order,
+/// so file order is emission order); a repeat or regression means a
+/// corrupted or hand-edited trace. Profile-dump op ordinals are
+/// strictly increasing (one per op kind, canonical order); per-epoch
+/// timing ordinals only non-decreasing (every kind of one epoch shares
+/// that epoch's tick).
+const TICKED_EVENTS: [(&str, bool); 3] = [
+    ("obs.sample", true),
+    ("obs.profile.op", true),
+    ("obs.profile.time", false),
+];
+
+/// Parses every non-empty line of a trace file, strictly.
+pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, String> {
+    let mut records = Vec::new();
+    let mut last_tick = [None; TICKED_EVENTS.len()];
+    read_lines(text, |json| {
+        let record = record_from(json)?;
+        if let TraceRecord::Event { name, f, .. } = &record {
+            if let Some(i) = TICKED_EVENTS.iter().position(|(n, _)| n == name) {
+                let (strict, tick) = (TICKED_EVENTS[i].1, payload(name, f)?.u64("tick")?);
+                match last_tick[i] {
+                    Some(last) if strict && tick <= last => {
+                        return Err(format!("{name} tick {tick} not strictly after {last}"));
+                    }
+                    Some(last) if tick < last => {
+                        return Err(format!("{name} tick {tick} regressed below {last}"));
+                    }
+                    _ => last_tick[i] = Some(tick),
+                }
+            }
+        }
+        records.push(record);
+        Ok(())
+    })?;
     Ok(records)
 }
 
@@ -105,105 +101,101 @@ const TYPED_EVENT_FIELDS: &[(&str, &[&str])] = &[
         "obs.alloc.summary",
         &["tick", "allocated_b", "freed_b", "peak_b"],
     ),
+    (
+        "serve.exemplar",
+        &[
+            "id",
+            "domain",
+            "user",
+            "k",
+            "queue_depth",
+            "lock_us",
+            "cache_hit",
+            "coalesced",
+            "shed",
+        ],
+    ),
 ];
 
-fn check_typed_event(name: &str, json: &Json) -> Result<(), String> {
-    let Some(&(_, fields)) = TYPED_EVENT_FIELDS.iter().find(|(n, _)| *n == name) else {
-        return Ok(());
-    };
-    let f = json
-        .get("f")
-        .ok_or_else(|| format!("missing field \"f\" on {name:?} event"))?;
-    let Json::Obj(pairs) = f else {
-        return Err(format!("field \"f\" on {name:?} event is not an object"));
-    };
-    for (k, _) in pairs {
-        if !fields.contains(&k.as_str()) {
-            return Err(format!("unknown field {k:?} on {name:?} event payload"));
-        }
+fn typed_fields(name: &str) -> Option<&'static [&'static str]> {
+    TYPED_EVENT_FIELDS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, fields)| fields)
+}
+
+/// Reads the `f` payload of typed event `name` against its field
+/// table: every listed field present with its type, and no other.
+pub(crate) fn payload<'a>(name: &str, f: &'a Json) -> Result<Fields<'a>, String> {
+    let fields =
+        typed_fields(name).ok_or_else(|| format!("event {name:?} has no typed payload"))?;
+    let p = f.fields(format!("{name:?} event payload"), fields)?;
+    for &key in fields {
+        match key {
+            "slo" | "kind" => p.str(key).map(drop),
+            "fast_burn" | "slow_burn" | "gflops" | "gbps" => p.f64(key).map(drop),
+            "cache_hit" | "coalesced" => p.bool(key).map(drop),
+            // tick / ids / counts / ns / bytes: non-negative integers
+            _ => p.u64(key).map(drop),
+        }?;
     }
-    for want in fields {
-        let v = f
-            .get(want)
-            .ok_or_else(|| format!("missing field {want:?} on {name:?} event payload"))?;
-        let ok = match *want {
-            "slo" | "kind" => v.as_str().is_some(),
-            "fast_burn" | "slow_burn" | "gflops" | "gbps" => v.as_f64().is_some(),
-            // tick / counts / ns / bytes: non-negative integers
-            _ => v.as_u64().is_some(),
-        };
-        if !ok {
-            return Err(format!(
-                "field {want:?} on {name:?} event payload has the wrong type"
-            ));
-        }
-    }
-    Ok(())
+    Ok(p)
 }
 
 /// Converts one parsed JSON line into a [`TraceRecord`], rejecting
 /// unknown fields, missing fields, and type mismatches.
 pub fn record_from(json: &Json) -> Result<TraceRecord, String> {
-    let Json::Obj(pairs) = json else {
-        return Err("trace line is not a JSON object".into());
-    };
-    let t = json
-        .get("t")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"t\"")?;
-    let allowed: &[&str] = match t {
-        "meta" => &["t", "version", "clock", "seq"],
-        "span" => &[
-            "t", "name", "start_us", "dur_us", "self_us", "depth", "tid", "seq",
-        ],
-        "event" => &["t", "name", "at_us", "tid", "seq", "f"],
-        other => return Err(format!("unknown record type {other:?}")),
-    };
-    for (k, _) in pairs {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("unknown field {k:?} on {t:?} record"));
-        }
-    }
-    let need_u64 = |key: &str| -> Result<u64, String> {
-        json.get(key)
-            .ok_or_else(|| format!("missing field {key:?} on {t:?} record"))?
-            .as_u64()
-            .ok_or_else(|| format!("field {key:?} on {t:?} record is not a non-negative integer"))
-    };
-    let need_str = |key: &str| -> Result<String, String> {
-        json.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing string field {key:?} on {t:?} record"))
-    };
-    match t {
-        "meta" => Ok(TraceRecord::Meta {
-            version: need_u64("version")?,
-        }),
-        "span" => Ok(TraceRecord::Span {
-            name: need_str("name")?,
-            start_us: need_u64("start_us")?,
-            dur_us: need_u64("dur_us")?,
-            self_us: need_u64("self_us")?,
-            depth: need_u64("depth")?,
-            tid: need_u64("tid")?,
-            seq: need_u64("seq")?,
-        }),
-        "event" => {
-            if let Some(f) = json.get("f") {
-                if !matches!(f, Json::Obj(_)) {
-                    return Err("field \"f\" on \"event\" record is not an object".into());
-                }
-            }
-            check_typed_event(&need_str("name")?, json)?;
-            Ok(TraceRecord::Event {
-                name: need_str("name")?,
-                at_us: need_u64("at_us")?,
-                tid: need_u64("tid")?,
-                seq: need_u64("seq")?,
+    match json.get("t").and_then(Json::as_str) {
+        Some("meta") => {
+            let rec = json.fields("\"meta\" record", &["t", "version", "clock", "seq"])?;
+            Ok(TraceRecord::Meta {
+                version: rec.u64("version")?,
             })
         }
-        _ => unreachable!("type checked above"),
+        Some("span") => {
+            let rec = json.fields(
+                "\"span\" record",
+                &[
+                    "t", "name", "start_us", "dur_us", "self_us", "depth", "tid", "seq",
+                ],
+            )?;
+            Ok(TraceRecord::Span {
+                name: rec.str("name")?.to_string(),
+                start_us: rec.u64("start_us")?,
+                dur_us: rec.u64("dur_us")?,
+                self_us: rec.u64("self_us")?,
+                depth: rec.u64("depth")?,
+                tid: rec.u64("tid")?,
+                seq: rec.u64("seq")?,
+            })
+        }
+        Some("event") => {
+            let rec = json.fields(
+                "\"event\" record",
+                &["t", "name", "at_us", "tid", "seq", "f"],
+            )?;
+            let name = rec.str("name")?;
+            let (at_us, tid, seq) = (rec.u64("at_us")?, rec.u64("tid")?, rec.u64("seq")?);
+            // only a free-form event may omit its payload
+            let typed = typed_fields(name).is_some();
+            let f = Json::Obj(if typed || rec.get("f").is_some() {
+                rec.obj("f")?.to_vec()
+            } else {
+                Vec::new()
+            });
+            if typed {
+                payload(name, &f)?;
+            }
+            Ok(TraceRecord::Event {
+                name: name.to_string(),
+                at_us,
+                tid,
+                seq,
+                f,
+            })
+        }
+        Some(other) => Err(format!("unknown record type {other:?}")),
+        None => Err("trace line is not a JSON object with a string field \"t\"".into()),
     }
 }
 

@@ -25,8 +25,9 @@
 //! mismatches, and non-monotonic tick ordinals are errors.
 
 use crate::clock::Stopwatch;
-use crate::json::{escape, Json};
-use crate::parse::parse_trace;
+use crate::parse::{parse_trace, payload};
+use crate::report::TraceRecord;
+use crate::trace::{event_line, meta_line, EventBuilder};
 use nm_tensor::lanes;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -118,44 +119,35 @@ impl Peaks {
 pub fn render_dump(ops: &[OpCounters], alloc: &AllocSummary) -> String {
     let mut sorted: Vec<&OpCounters> = ops.iter().collect();
     sorted.sort_by(|a, b| a.kind.cmp(&b.kind));
-    let mut out =
-        String::from("{\"t\":\"meta\",\"version\":1,\"clock\":\"monotonic_us\",\"seq\":0}\n");
+    // every line's seq is its index: the meta line is seq 0
+    let mut lines = vec![meta_line(0)];
     for (i, op) in sorted.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{{\"t\":\"event\",\"name\":\"obs.profile.op\",\"at_us\":0,\"tid\":0,\"seq\":{},\"f\":{{\
-             \"tick\":{},\"kind\":{},\"fwd_calls\":{},\"bwd_calls\":{},\"fwd_flops\":{},\"bwd_flops\":{},\
-             \"fwd_bytes\":{},\"bwd_bytes\":{},\"alloc_b\":{},\"freed_b\":{}}}}}",
-            i + 1,
-            i,
-            escape(&op.kind),
-            op.fwd_calls,
-            op.bwd_calls,
-            op.fwd_flops,
-            op.bwd_flops,
-            op.fwd_bytes,
-            op.bwd_bytes,
-            op.alloc_b,
-            op.freed_b,
-        );
+        let mut f = EventBuilder::default();
+        f.u("tick", i as u64)
+            .s("kind", &op.kind)
+            .u("fwd_calls", op.fwd_calls)
+            .u("bwd_calls", op.bwd_calls)
+            .u("fwd_flops", op.fwd_flops)
+            .u("bwd_flops", op.bwd_flops)
+            .u("fwd_bytes", op.fwd_bytes)
+            .u("bwd_bytes", op.bwd_bytes)
+            .u("alloc_b", op.alloc_b)
+            .u("freed_b", op.freed_b);
+        lines.push(event_line("obs.profile.op", 0, 0, lines.len() as u64, &f));
     }
-    let _ = writeln!(
-        out,
-        "{{\"t\":\"event\",\"name\":\"obs.alloc.summary\",\"at_us\":0,\"tid\":0,\"seq\":{},\"f\":{{\
-         \"tick\":{},\"allocated_b\":{},\"freed_b\":{},\"peak_b\":{}}}}}",
-        sorted.len() + 1,
-        sorted.len(),
-        alloc.allocated_b,
-        alloc.freed_b,
-        alloc.peak_b,
-    );
-    out
-}
-
-fn payload_u64(f: &Json, key: &str, n: usize) -> Result<u64, String> {
-    f.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {n}: profile payload missing u64 {key:?}"))
+    let mut f = EventBuilder::default();
+    f.u("tick", sorted.len() as u64)
+        .u("allocated_b", alloc.allocated_b)
+        .u("freed_b", alloc.freed_b)
+        .u("peak_b", alloc.peak_b);
+    lines.push(event_line(
+        "obs.alloc.summary",
+        0,
+        0,
+        lines.len() as u64,
+        &f,
+    ));
+    lines.iter().map(|l| format!("{l}\n")).collect()
 }
 
 /// Parses a profile dump strictly: the trace schema checks run first
@@ -163,74 +155,62 @@ fn payload_u64(f: &Json, key: &str, n: usize) -> Result<u64, String> {
 /// then the dump-specific shape is enforced — only `obs.profile.op`
 /// events in canonical kind order plus exactly one `obs.alloc.summary`.
 pub fn parse_dump(text: &str) -> Result<ProfileDump, String> {
-    parse_trace(text)?;
     let mut ops: Vec<OpCounters> = Vec::new();
     let mut alloc: Option<AllocSummary> = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
+    for (i, record) in parse_trace(text)?.iter().enumerate() {
         let n = i + 1;
-        let json = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        match json.get("t").and_then(Json::as_str) {
-            Some("meta") => continue,
-            Some("event") => {}
-            _ => {
+        let (name, f) = match record {
+            TraceRecord::Meta { .. } => continue,
+            TraceRecord::Event { name, f, .. } => (name.as_str(), f),
+            TraceRecord::Span { .. } => {
                 return Err(format!(
-                    "line {n}: unexpected record type in a profile dump (events only)"
+                    "record {n}: unexpected record type in a profile dump (events only)"
                 ))
             }
-        }
-        let name = json
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {n}: record has no name"))?;
-        let f = json
-            .get("f")
-            .ok_or_else(|| format!("line {n}: event has no payload"))?;
+        };
         match name {
             "obs.profile.op" => {
-                let kind = f
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {n}: profile payload missing str \"kind\""))?
-                    .to_string();
+                let p = payload(name, f)?;
+                let kind = p.str("kind")?;
                 if let Some(prev) = ops.last() {
-                    if prev.kind.as_str() >= kind.as_str() {
+                    if prev.kind.as_str() >= kind {
                         return Err(format!(
-                            "line {n}: op kind {kind:?} out of canonical order (after {:?})",
+                            "record {n}: op kind {kind:?} out of canonical order (after {:?})",
                             prev.kind
                         ));
                     }
                 }
                 if alloc.is_some() {
-                    return Err(format!("line {n}: obs.profile.op after obs.alloc.summary"));
+                    return Err(format!(
+                        "record {n}: obs.profile.op after obs.alloc.summary"
+                    ));
                 }
                 ops.push(OpCounters {
-                    kind,
-                    fwd_calls: payload_u64(f, "fwd_calls", n)?,
-                    bwd_calls: payload_u64(f, "bwd_calls", n)?,
-                    fwd_flops: payload_u64(f, "fwd_flops", n)?,
-                    bwd_flops: payload_u64(f, "bwd_flops", n)?,
-                    fwd_bytes: payload_u64(f, "fwd_bytes", n)?,
-                    bwd_bytes: payload_u64(f, "bwd_bytes", n)?,
-                    alloc_b: payload_u64(f, "alloc_b", n)?,
-                    freed_b: payload_u64(f, "freed_b", n)?,
+                    kind: kind.to_string(),
+                    fwd_calls: p.u64("fwd_calls")?,
+                    bwd_calls: p.u64("bwd_calls")?,
+                    fwd_flops: p.u64("fwd_flops")?,
+                    bwd_flops: p.u64("bwd_flops")?,
+                    fwd_bytes: p.u64("fwd_bytes")?,
+                    bwd_bytes: p.u64("bwd_bytes")?,
+                    alloc_b: p.u64("alloc_b")?,
+                    freed_b: p.u64("freed_b")?,
                 });
             }
             "obs.alloc.summary" => {
                 if alloc.is_some() {
-                    return Err(format!("line {n}: duplicate obs.alloc.summary"));
+                    return Err(format!("record {n}: duplicate obs.alloc.summary"));
                 }
+                let p = payload(name, f)?;
                 alloc = Some(AllocSummary {
-                    allocated_b: payload_u64(f, "allocated_b", n)?,
-                    freed_b: payload_u64(f, "freed_b", n)?,
-                    peak_b: payload_u64(f, "peak_b", n)?,
+                    allocated_b: p.u64("allocated_b")?,
+                    freed_b: p.u64("freed_b")?,
+                    peak_b: p.u64("peak_b")?,
                 });
             }
             other => {
                 return Err(format!(
-                    "line {n}: unexpected record {other:?} in a profile dump"
+                    "record {n}: unexpected record {other:?} in a profile dump"
                 ))
             }
         }
@@ -248,38 +228,26 @@ pub fn parse_dump(text: &str) -> Result<ProfileDump, String> {
 pub fn parse_trace_timings(
     text: &str,
 ) -> Result<(BTreeMap<String, OpTiming>, Option<Peaks>), String> {
-    parse_trace(text)?;
     let mut timings: BTreeMap<String, OpTiming> = BTreeMap::new();
     let mut peaks = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+    for record in parse_trace(text)? {
+        let TraceRecord::Event { name, f, .. } = &record else {
             continue;
-        }
-        let n = i + 1;
-        let json = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        let name = json.get("name").and_then(Json::as_str);
-        let Some(f) = json.get("f") else { continue };
-        match name {
-            Some("obs.profile.time") => {
-                let kind = f
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {n}: profile payload missing str \"kind\""))?;
-                let t = timings.entry(kind.to_string()).or_default();
-                t.fwd_calls += payload_u64(f, "fwd_calls", n)?;
-                t.bwd_calls += payload_u64(f, "bwd_calls", n)?;
-                t.fwd_ns += payload_u64(f, "fwd_ns", n)?;
-                t.bwd_ns += payload_u64(f, "bwd_ns", n)?;
+        };
+        match name.as_str() {
+            "obs.profile.time" => {
+                let p = payload(name, f)?;
+                let t = timings.entry(p.str("kind")?.to_string()).or_default();
+                t.fwd_calls += p.u64("fwd_calls")?;
+                t.bwd_calls += p.u64("bwd_calls")?;
+                t.fwd_ns += p.u64("fwd_ns")?;
+                t.bwd_ns += p.u64("bwd_ns")?;
             }
-            Some("obs.profile.peaks") => {
-                let need = |key: &str| -> Result<f64, String> {
-                    f.get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("line {n}: peaks payload missing f64 {key:?}"))
-                };
+            "obs.profile.peaks" => {
+                let p = payload(name, f)?;
                 peaks = Some(Peaks {
-                    gflops: need("gflops")?,
-                    gbps: need("gbps")?,
+                    gflops: p.f64("gflops")?,
+                    gbps: p.f64("gbps")?,
                 });
             }
             _ => {}
@@ -742,7 +710,7 @@ pub fn render_verdict(d: &ProfileDiff, cfg: &CompareConfig) -> String {
 
 /// Formats one `obs.profile.time` payload field list — shared by the
 /// trainer and the stream runner so the two emitters cannot drift.
-pub fn time_event_fields(e: &mut crate::trace::EventBuilder, tick: u64, kind: &str, t: &OpTiming) {
+pub fn time_event_fields(e: &mut EventBuilder, tick: u64, kind: &str, t: &OpTiming) {
     e.u("tick", tick)
         .s("kind", kind)
         .u("fwd_calls", t.fwd_calls)

@@ -3,10 +3,10 @@
 //! `nmcdr obs validate` (used by `scripts/ci.sh` to gate the trace
 //! schema).
 //!
-//! This module works on already-parsed [`TraceRecord`]s; JSON parsing
-//! of trace lines (and strict unknown-field rejection) lives in
-//! [`crate::parse`].
+//! This module works on already-parsed [`TraceRecord`]s; the strict
+//! reading of trace lines lives in [`crate::parse`].
 
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -30,6 +30,9 @@ pub enum TraceRecord {
         at_us: u64,
         tid: u64,
         seq: u64,
+        /// The `f` payload object (empty when the line has none),
+        /// checked against its field table when the event is typed.
+        f: Json,
     },
 }
 
@@ -254,6 +257,7 @@ mod tests {
                 at_us: 6,
                 tid: 0,
                 seq: 2,
+                f: Json::Obj(Vec::new()),
             },
             span("b", 3, 4, 4, 3),
         ];
@@ -303,57 +307,10 @@ mod tests {
                 e.u("i", 1);
             });
         });
-        // crude line → record conversion good enough for this test:
-        // the canonical parser lives in nm-cli
-        let recs: Vec<TraceRecord> = sink
-            .lines()
-            .iter()
-            .map(|l| parse_line_for_test(l))
-            .collect();
+        let recs = crate::parse::parse_trace(&sink.lines().join("\n")).unwrap();
         let s = validate(&recs).unwrap();
         assert_eq!(s.spans, 2);
         assert_eq!(s.events, 1);
         assert_eq!(profile(&recs).len(), 2);
-    }
-
-    fn num(line: &str, key: &str) -> u64 {
-        let pat = format!("\"{key}\":");
-        let at = line.find(&pat).unwrap() + pat.len();
-        line[at..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    }
-
-    fn name_of(line: &str) -> String {
-        let at = line.find("\"name\":\"").unwrap() + 8;
-        line[at..].split('"').next().unwrap().to_string()
-    }
-
-    fn parse_line_for_test(line: &str) -> TraceRecord {
-        if line.contains("\"t\":\"meta\"") {
-            TraceRecord::Meta {
-                version: num(line, "version"),
-            }
-        } else if line.contains("\"t\":\"span\"") {
-            TraceRecord::Span {
-                name: name_of(line),
-                start_us: num(line, "start_us"),
-                dur_us: num(line, "dur_us"),
-                self_us: num(line, "self_us"),
-                depth: num(line, "depth"),
-                tid: num(line, "tid"),
-                seq: num(line, "seq"),
-            }
-        } else {
-            TraceRecord::Event {
-                name: name_of(line),
-                at_us: num(line, "at_us"),
-                tid: num(line, "tid"),
-                seq: num(line, "seq"),
-            }
-        }
     }
 }

@@ -137,23 +137,13 @@ impl TickDelta {
     /// fields, wrong types, bucket/bound arity mismatches, and
     /// count/bucket disagreement are all hard errors.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let obj = v.as_obj().ok_or("tick line must be an object")?;
-        for (k, _) in obj {
-            if !matches!(k.as_str(), "t" | "tick" | "counters" | "gauges" | "hists") {
-                return Err(format!("tick line has unknown field '{k}'"));
-            }
-        }
-        if v.get("t").and_then(Json::as_str) != Some("tick") {
+        let line = v.fields("tick line", &["t", "tick", "counters", "gauges", "hists"])?;
+        if line.str("t")? != "tick" {
             return Err("tick line missing t=\"tick\"".into());
         }
-        let tick = v
-            .get("tick")
-            .and_then(Json::as_u64)
-            .ok_or("tick line missing integer 'tick'")?;
-        let counters = v
-            .get("counters")
-            .and_then(Json::as_obj)
-            .ok_or("tick line missing object 'counters'")?
+        let tick = line.u64("tick")?;
+        let counters = line
+            .obj("counters")?
             .iter()
             .map(|(k, j)| {
                 j.as_u64()
@@ -161,10 +151,8 @@ impl TickDelta {
                     .ok_or_else(|| format!("counter '{k}' must be a non-negative integer"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let gauges = v
-            .get("gauges")
-            .and_then(Json::as_obj)
-            .ok_or("tick line missing object 'gauges'")?
+        let gauges = line
+            .obj("gauges")?
             .iter()
             .map(|(k, j)| {
                 j.as_f64()
@@ -173,11 +161,7 @@ impl TickDelta {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut hists = Vec::new();
-        for (k, j) in v
-            .get("hists")
-            .and_then(Json::as_obj)
-            .ok_or("tick line missing object 'hists'")?
-        {
+        for (k, j) in line.obj("hists")? {
             hists.push((k.clone(), parse_hist_delta(k, j)?));
         }
         Ok(Self {
@@ -202,32 +186,12 @@ fn int_array(xs: &[u64]) -> String {
 }
 
 fn parse_hist_delta(name: &str, v: &Json) -> Result<HistDelta, String> {
-    let obj = v
-        .as_obj()
-        .ok_or_else(|| format!("hist '{name}' must be an object"))?;
-    for (k, _) in obj {
-        if !matches!(k.as_str(), "bounds" | "buckets" | "count" | "sum" | "max") {
-            return Err(format!("hist '{name}' has unknown field '{k}'"));
-        }
-    }
-    let ints = |field: &str| -> Result<Vec<u64>, String> {
-        v.get(field)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("hist '{name}' missing array '{field}'"))?
-            .iter()
-            .map(|j| {
-                j.as_u64()
-                    .ok_or_else(|| format!("hist '{name}' {field} must be integers"))
-            })
-            .collect()
-    };
-    let int = |field: &str| -> Result<u64, String> {
-        v.get(field)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("hist '{name}' missing integer '{field}'"))
-    };
-    let bounds = ints("bounds")?;
-    let buckets = ints("buckets")?;
+    let h = v.fields(
+        format!("hist '{name}'"),
+        &["bounds", "buckets", "count", "sum", "max"],
+    )?;
+    let bounds = h.u64s("bounds")?;
+    let buckets = h.u64s("buckets")?;
     if buckets.len() != bounds.len() + 1 {
         return Err(format!(
             "hist '{name}' has {} buckets for {} bounds (want bounds+1)",
@@ -238,7 +202,7 @@ fn parse_hist_delta(name: &str, v: &Json) -> Result<HistDelta, String> {
     if !bounds.windows(2).all(|w| w[0] < w[1]) {
         return Err(format!("hist '{name}' bounds must be strictly ascending"));
     }
-    let count = int("count")?;
+    let count = h.u64("count")?;
     if count != buckets.iter().sum::<u64>() {
         return Err(format!(
             "hist '{name}' count {count} disagrees with bucket sum {}",
@@ -249,8 +213,8 @@ fn parse_hist_delta(name: &str, v: &Json) -> Result<HistDelta, String> {
         bounds,
         buckets,
         count,
-        sum: int("sum")?,
-        max: int("max")?,
+        sum: h.u64("sum")?,
+        max: h.u64("max")?,
     })
 }
 

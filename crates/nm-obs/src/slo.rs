@@ -18,6 +18,7 @@
 
 use crate::json::Json;
 use crate::metrics::Registry;
+use crate::parse::read_lines;
 use crate::series::{FlightRecorder, RecorderConfig, TickDelta, WindowStats};
 use crate::{clock::Stopwatch, trace};
 use nm_sync::backend::lock_recover;
@@ -65,22 +66,11 @@ impl Objective {
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        let obj = v.as_obj().ok_or("objective must be an object")?;
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("objective missing string 'kind'")?;
-        match kind {
-            "counter_ratio" => {
-                for (k, _) in obj {
-                    if !matches!(k.as_str(), "kind" | "bad" | "total") {
-                        return Err(format!("counter_ratio objective has unknown field '{k}'"));
-                    }
-                }
-                let bad = v
-                    .get("bad")
-                    .and_then(Json::as_arr)
-                    .ok_or("counter_ratio missing array 'bad'")?
+        match v.get("kind").and_then(Json::as_str) {
+            Some("counter_ratio") => {
+                let f = v.fields("counter_ratio objective", &["kind", "bad", "total"])?;
+                let bad = f
+                    .arr("bad")?
                     .iter()
                     .map(|j| {
                         j.as_str()
@@ -88,32 +78,20 @@ impl Objective {
                             .ok_or_else(|| "'bad' entries must be strings".to_string())
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let total = v
-                    .get("total")
-                    .and_then(Json::as_str)
-                    .ok_or("counter_ratio missing string 'total'")?
-                    .to_string();
-                Ok(Objective::CounterRatio { bad, total })
-            }
-            "hist_above" => {
-                for (k, _) in obj {
-                    if !matches!(k.as_str(), "kind" | "hist" | "limit_us") {
-                        return Err(format!("hist_above objective has unknown field '{k}'"));
-                    }
-                }
-                Ok(Objective::HistAbove {
-                    hist: v
-                        .get("hist")
-                        .and_then(Json::as_str)
-                        .ok_or("hist_above missing string 'hist'")?
-                        .to_string(),
-                    limit_us: v
-                        .get("limit_us")
-                        .and_then(Json::as_u64)
-                        .ok_or("hist_above missing integer 'limit_us'")?,
+                Ok(Objective::CounterRatio {
+                    bad,
+                    total: f.str("total")?.to_string(),
                 })
             }
-            other => Err(format!("unknown objective kind '{other}'")),
+            Some("hist_above") => {
+                let f = v.fields("hist_above objective", &["kind", "hist", "limit_us"])?;
+                Ok(Objective::HistAbove {
+                    hist: f.str("hist")?.to_string(),
+                    limit_us: f.u64("limit_us")?,
+                })
+            }
+            Some(other) => Err(format!("unknown objective kind '{other}'")),
+            None => Err("objective is not an object with a string 'kind'".into()),
         }
     }
 }
@@ -212,45 +190,26 @@ impl SloSpec {
     }
 
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let obj = v.as_obj().ok_or("slo spec must be an object")?;
-        for (k, _) in obj {
-            if !matches!(
-                k.as_str(),
-                "name"
-                    | "objective"
-                    | "target"
-                    | "fast_window"
-                    | "slow_window"
-                    | "burn_threshold"
-                    | "min_events"
-            ) {
-                return Err(format!("slo spec has unknown field '{k}'"));
-            }
-        }
-        let num = |field: &str| -> Result<f64, String> {
-            v.get(field)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("slo spec missing number '{field}'"))
-        };
-        let uint = |field: &str| -> Result<u64, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("slo spec missing integer '{field}'"))
-        };
+        let f = v.fields(
+            "slo spec",
+            &[
+                "name",
+                "objective",
+                "target",
+                "fast_window",
+                "slow_window",
+                "burn_threshold",
+                "min_events",
+            ],
+        )?;
         let spec = SloSpec {
-            name: v
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("slo spec missing string 'name'")?
-                .to_string(),
-            objective: Objective::from_json(
-                v.get("objective").ok_or("slo spec missing 'objective'")?,
-            )?,
-            target: num("target")?,
-            fast_window: uint("fast_window")? as usize,
-            slow_window: uint("slow_window")? as usize,
-            burn_threshold: num("burn_threshold")?,
-            min_events: uint("min_events")?,
+            name: f.str("name")?.to_string(),
+            objective: Objective::from_json(f.value("objective")?)?,
+            target: f.f64("target")?,
+            fast_window: f.u64("fast_window")? as usize,
+            slow_window: f.u64("slow_window")? as usize,
+            burn_threshold: f.f64("burn_threshold")?,
+            min_events: f.u64("min_events")?,
         };
         if !spec.target.is_finite()
             || spec.target <= 0.0
@@ -605,64 +564,49 @@ pub struct Series {
 /// `series_meta` first line, then `tick` lines with strictly
 /// increasing ordinals.
 pub fn parse_series(text: &str) -> Result<Series, String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, first) = lines.next().ok_or("empty series dump")?;
-    let meta = Json::parse(first).map_err(|e| format!("line 1: {e}"))?;
-    if meta.get("t").and_then(Json::as_str) != Some("series_meta") {
-        return Err("line 1: first line must be a series_meta record".into());
-    }
-    for (k, _) in meta.as_obj().ok_or("line 1: meta must be an object")? {
-        if !matches!(
-            k.as_str(),
-            "t" | "version" | "capacity" | "dropped" | "next_tick" | "slos"
-        ) {
-            return Err(format!("line 1: series_meta has unknown field '{k}'"));
-        }
-    }
-    match meta.get("version").and_then(Json::as_u64) {
-        Some(1) => {}
-        Some(other) => return Err(format!("unsupported series version {other}")),
-        None => return Err("series_meta missing integer 'version'".into()),
-    }
-    let uint = |field: &str| -> Result<u64, String> {
-        meta.get(field)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("series_meta missing integer '{field}'"))
-    };
-    let slos = meta
-        .get("slos")
-        .and_then(Json::as_arr)
-        .ok_or("series_meta missing array 'slos'")?
-        .iter()
-        .map(SloSpec::from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut series = Series {
-        capacity: uint("capacity")?,
-        dropped: uint("dropped")?,
-        next_tick: uint("next_tick")?,
-        slos,
-        ticks: Vec::new(),
-    };
-    let mut last_tick: Option<u64> = None;
-    for (i, line) in lines {
-        let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let t = TickDelta::from_json(&v).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if let Some(last) = last_tick {
-            if t.tick <= last {
-                return Err(format!(
-                    "line {}: tick {} not strictly after {last}",
-                    i + 1,
-                    t.tick
-                ));
+    let mut series: Option<Series> = None;
+    read_lines(text, |json| {
+        let Some(series) = &mut series else {
+            series = Some(series_meta(json)?);
+            return Ok(());
+        };
+        let t = TickDelta::from_json(json)?;
+        if let Some(last) = series.ticks.last() {
+            if t.tick <= last.tick {
+                return Err(format!("tick {} not strictly after {}", t.tick, last.tick));
             }
         }
-        last_tick = Some(t.tick);
         series.ticks.push(t);
+        Ok(())
+    })?;
+    series.ok_or_else(|| "empty series dump".into())
+}
+
+/// Reads the `series_meta` line that heads a series dump, with no
+/// ticks yet.
+fn series_meta(json: &Json) -> Result<Series, String> {
+    if json.get("t").and_then(Json::as_str) != Some("series_meta") {
+        return Err("first line must be a series_meta record".into());
     }
-    Ok(series)
+    let meta = json.fields(
+        "series_meta",
+        &["t", "version", "capacity", "dropped", "next_tick", "slos"],
+    )?;
+    match meta.u64("version")? {
+        1 => {}
+        other => return Err(format!("unsupported series version {other}")),
+    }
+    Ok(Series {
+        slos: meta
+            .arr("slos")?
+            .iter()
+            .map(SloSpec::from_json)
+            .collect::<Result<Vec<_>, _>>()?,
+        capacity: meta.u64("capacity")?,
+        dropped: meta.u64("dropped")?,
+        next_tick: meta.u64("next_tick")?,
+        ticks: Vec::new(),
+    })
 }
 
 /// Replays the dump's SLO specs over its retained ticks exactly as the

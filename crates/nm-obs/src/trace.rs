@@ -144,9 +144,7 @@ pub fn install(sink: Arc<dyn TraceSink>) {
         epoch_us: crate::clock::now_us(),
         seq: Mutex::new(0),
     });
-    tracer.emit(|seq| {
-        format!("{{\"t\":\"meta\",\"version\":1,\"clock\":\"monotonic_us\",\"seq\":{seq}}}")
-    });
+    tracer.emit(meta_line);
     *write_recover(&TRACER) = Some(tracer);
     ENABLED.store(true, Ordering::SeqCst);
 }
@@ -295,15 +293,14 @@ impl Drop for SpanGuard {
         });
         let tid = tid();
         a.tracer.emit(|seq| {
-            format!(
-                "{{\"t\":\"span\",\"name\":{},\"start_us\":{},\"dur_us\":{},\"self_us\":{},\"depth\":{},\"tid\":{},\"seq\":{}}}",
-                escape(a.name),
+            span_line(
+                a.name,
                 a.start_us,
                 dur_us,
                 self_us,
-                a.depth,
+                a.depth as u64,
                 tid,
-                seq
+                seq,
             )
         });
     }
@@ -398,16 +395,38 @@ pub fn event(name: &str, build: impl FnOnce(&mut EventBuilder)) {
     build(&mut b);
     let at_us = tracer.now_us();
     let tid = tid();
-    tracer.emit(|seq| {
-        format!(
-            "{{\"t\":\"event\",\"name\":{},\"at_us\":{},\"tid\":{},\"seq\":{},\"f\":{{{}}}}}",
-            escape(name),
-            at_us,
-            tid,
-            seq,
-            b.fields
-        )
-    });
+    tracer.emit(|seq| event_line(name, at_us, tid, seq, &b));
+}
+
+/// The schema-v1 meta line that heads every trace, profile dump and
+/// rendered exemplar trace.
+pub fn meta_line(seq: u64) -> String {
+    format!("{{\"t\":\"meta\",\"version\":1,\"clock\":\"monotonic_us\",\"seq\":{seq}}}")
+}
+
+/// One schema-v1 span line.
+pub fn span_line(
+    name: &str,
+    start_us: u64,
+    dur_us: u64,
+    self_us: u64,
+    depth: u64,
+    tid: u64,
+    seq: u64,
+) -> String {
+    format!(
+        "{{\"t\":\"span\",\"name\":{},\"start_us\":{start_us},\"dur_us\":{dur_us},\"self_us\":{self_us},\"depth\":{depth},\"tid\":{tid},\"seq\":{seq}}}",
+        escape(name)
+    )
+}
+
+/// One schema-v1 event line whose `f` payload is the fields `f` built.
+pub fn event_line(name: &str, at_us: u64, tid: u64, seq: u64, f: &EventBuilder) -> String {
+    format!(
+        "{{\"t\":\"event\",\"name\":{},\"at_us\":{at_us},\"tid\":{tid},\"seq\":{seq},\"f\":{{{}}}}}",
+        escape(name),
+        f.fields
+    )
 }
 
 /// Records a named scalar into the thread-local aggregates (no trace

@@ -28,8 +28,8 @@
 //! strict `nmcdr obs validate` schema, so every offline tool
 //! (`obs report`, `obs flame`) works on serving exemplars unchanged.
 
+use nm_obs::trace::{event_line, meta_line, span_line, EventBuilder};
 use nm_sync::{Ranked, SlowRing, StdBackend};
-use std::fmt::Write as _;
 
 /// Per-stage elapsed microseconds of one request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -201,29 +201,6 @@ impl ExemplarRing {
     }
 }
 
-struct SpanLine<'a> {
-    name: &'a str,
-    start_us: u64,
-    dur_us: u64,
-    self_us: u64,
-    depth: u64,
-}
-
-fn span_line(out: &mut String, tid: u64, seq: u64, s: SpanLine<'_>) {
-    let SpanLine {
-        name,
-        start_us,
-        dur_us,
-        self_us,
-        depth,
-    } = s;
-    let _ = writeln!(
-        out,
-        "{{\"t\":\"span\",\"name\":\"{name}\",\"start_us\":{start_us},\"dur_us\":{dur_us},\
-         \"self_us\":{self_us},\"depth\":{depth},\"tid\":{tid},\"seq\":{seq}}}"
-    );
-}
-
 /// Renders exemplars as one schema-v1 trace document (line-JSON).
 ///
 /// Each exemplar becomes its own synthetic thread (`tid` = request id):
@@ -234,12 +211,8 @@ fn span_line(out: &mut String, tid: u64, seq: u64, s: SpanLine<'_>) {
 /// durations are clamped so children never outrun the root, keeping
 /// the output valid under the strict `obs validate` rules.
 pub fn render_trace(exemplars: &[Exemplar]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"t\":\"meta\",\"version\":1,\"clock\":\"monotonic_us\",\"seq\":0}}"
-    );
-    let mut seq = 1u64;
+    // every line's seq is its index: the meta line is seq 0
+    let mut lines = vec![meta_line(0)];
     for ex in exemplars {
         let tid = ex.id;
         let mut off = 0u64;
@@ -248,53 +221,36 @@ pub fn render_trace(exemplars: &[Exemplar]) -> String {
             if dur == 0 {
                 continue;
             }
-            span_line(
-                &mut out,
-                tid,
-                seq,
-                SpanLine {
-                    name,
-                    start_us: ex.start_us + off,
-                    dur_us: dur,
-                    self_us: dur,
-                    depth: 1,
-                },
-            );
-            seq += 1;
+            let seq = lines.len() as u64;
+            lines.push(span_line(name, ex.start_us + off, dur, dur, 1, tid, seq));
             off += dur;
         }
+        let mut f = EventBuilder::default();
+        f.u("id", ex.id)
+            .u("domain", ex.domain as u64)
+            .u("user", u64::from(ex.user))
+            .u("k", ex.k as u64)
+            .u("queue_depth", ex.queue_depth)
+            .u("lock_us", ex.lock_us)
+            .b("cache_hit", ex.cache_hit)
+            .b("coalesced", ex.coalesced)
+            .u("shed", ex.shed_seen);
         let end_us = ex.start_us + ex.total_us;
-        let _ = writeln!(
-            out,
-            "{{\"t\":\"event\",\"name\":\"serve.exemplar\",\"at_us\":{end_us},\"tid\":{tid},\
-             \"seq\":{seq},\"f\":{{\"id\":{},\"domain\":{},\"user\":{},\"k\":{},\
-             \"queue_depth\":{},\"lock_us\":{},\"cache_hit\":{},\"coalesced\":{},\"shed\":{}}}}}",
-            ex.id,
-            ex.domain,
-            ex.user,
-            ex.k,
-            ex.queue_depth,
-            ex.lock_us,
-            ex.cache_hit,
-            ex.coalesced,
-            ex.shed_seen
-        );
-        seq += 1;
-        span_line(
-            &mut out,
+        let seq = lines.len() as u64;
+        lines.push(event_line("serve.exemplar", end_us, tid, seq, &f));
+        let seq = lines.len() as u64;
+        let self_us = ex.total_us.saturating_sub(off);
+        lines.push(span_line(
+            "serve.request",
+            ex.start_us,
+            ex.total_us,
+            self_us,
+            0,
             tid,
             seq,
-            SpanLine {
-                name: "serve.request",
-                start_us: ex.start_us,
-                dur_us: ex.total_us,
-                self_us: ex.total_us.saturating_sub(off),
-                depth: 0,
-            },
-        );
-        seq += 1;
+        ));
     }
-    out
+    lines.iter().map(|l| format!("{l}\n")).collect()
 }
 
 #[cfg(test)]

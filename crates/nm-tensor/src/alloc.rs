@@ -101,86 +101,3 @@ pub(crate) fn on_free(bytes: usize) {
         Some(v.saturating_sub(b))
     });
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Tensor;
-
-    // The counters are process-global, so the accounting tests share
-    // one lock to keep other-threaded tensor traffic out of the window.
-    fn with_window<R>(f: impl FnOnce() -> R) -> R {
-        use std::sync::Mutex;
-        static GUARD: Mutex<()> = Mutex::new(());
-        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        set_enabled(true);
-        let r = f();
-        set_enabled(false);
-        r
-    }
-
-    #[test]
-    fn construction_and_drop_balance() {
-        let s = with_window(|| {
-            let t = Tensor::zeros(4, 8); // 128 bytes
-            let u = t.clone(); // +128
-            drop(t);
-            drop(u);
-            stats()
-        });
-        assert_eq!(s.allocated_b, 256);
-        assert_eq!(s.freed_b, 256);
-        assert_eq!(s.live_b, 0);
-        assert_eq!(s.peak_b, 256);
-    }
-
-    #[test]
-    fn into_vec_releases_the_buffer() {
-        let s = with_window(|| {
-            let t = Tensor::ones(2, 2); // 16 bytes
-            let v = t.into_vec();
-            assert_eq!(v.len(), 4);
-            stats()
-        });
-        assert_eq!(s.allocated_b, 16);
-        assert_eq!(s.freed_b, 16);
-        assert_eq!(s.live_b, 0);
-    }
-
-    #[test]
-    fn peak_tracks_the_high_water_mark() {
-        let s = with_window(|| {
-            let a = Tensor::zeros(10, 10); // 400
-            {
-                let _b = Tensor::zeros(10, 10); // peak 800
-            }
-            let _c = Tensor::zeros(1, 1); // live 404 < peak
-            drop(a);
-            stats()
-        });
-        assert_eq!(s.peak_b, 800);
-    }
-
-    #[test]
-    fn disabled_counters_stay_put() {
-        // No window lock needed: we only assert the *disabled* path
-        // records nothing, using a before/after delta of zero traffic.
-        set_enabled(false);
-        let before = counters();
-        let t = Tensor::zeros(16, 16);
-        drop(t);
-        assert_eq!(counters(), before);
-    }
-
-    #[test]
-    fn pre_window_tensors_cannot_underflow_live() {
-        let t = Tensor::zeros(8, 8); // created outside the window
-        let s = with_window(|| {
-            drop(t);
-            stats()
-        });
-        assert_eq!(s.live_b, 0, "freeing a pre-window tensor saturates");
-        assert_eq!(s.freed_b, 256);
-    }
-}
