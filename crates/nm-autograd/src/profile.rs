@@ -10,7 +10,7 @@
 //!
 //! Discipline matches the PR 3 tracer: disabled (the default), every
 //! instrumented op costs exactly one relaxed atomic load
-//! ([`op_start`] returns `None` and the finish hook is skipped).
+//! (`op_start` returns `None` and the finish hook is skipped).
 //! Aggregates are thread-local, like `nm_obs::trace`'s span
 //! aggregates: the training loop drains its own thread's table with
 //! [`take`] (or reads it with [`snapshot`]), so no cross-thread
@@ -102,7 +102,7 @@ pub(crate) fn op_start() -> Option<OpTimer> {
 }
 
 /// Probe for the disabled path: runs exactly what an instrumented op
-/// runs when profiling is off ([`op_start`] taking its early-out and
+/// runs when profiling is off (`op_start` taking its early-out and
 /// returning `None`). Public so the bound test in
 /// `tests/disabled_probe.rs` can hold the one-relaxed-load contract
 /// without reaching into crate internals. Returns whether the probe

@@ -84,12 +84,16 @@ pub fn run_ab_test(
         let users = vec![user; slate.len()];
         for ((_, scorer), res) in arms.iter().zip(results.iter_mut()) {
             let scores = scorer.score(&users, &slate);
+            // The best score is shown, NaN ranking below every number
+            // as in `rank_order`; equal maxima show the last of them.
             let best = scores
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .expect("non-empty slate");
+                .max_by(|a, b| {
+                    a.1.partial_cmp(b.1)
+                        .unwrap_or_else(|| b.1.is_nan().cmp(&a.1.is_nan()))
+                })
+                .map_or(0, |(i, _)| i);
             let shown = slate[best] as usize;
             let p = sigmoid(domain.slope * (domain.affinity)(user as usize, shown) + domain.bias);
             res.impressions += 1;
@@ -104,6 +108,7 @@ pub fn run_ab_test(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     fn toy_domain() -> AbDomain<'static> {
         AbDomain {
@@ -173,6 +178,42 @@ mod tests {
         let a = run_ab_test(&d, &[("x", &flat)], 200, 5, 9);
         let b = run_ab_test(&d, &[("x", &flat)], 200, 5, 9);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn nan_scores_rank_below_every_number() {
+        // Odd items score NaN and even items their id, so the shown item
+        // is the slate's largest even id whenever the slate has one.
+        let slates = RefCell::new(Vec::new());
+        let shown = RefCell::new(Vec::new());
+        let d = AbDomain {
+            affinity: Box::new(|_, i| {
+                shown.borrow_mut().push(i as u32);
+                0.0
+            }),
+            ..toy_domain()
+        };
+        let scorer = |_: &[u32], items: &[u32]| -> Vec<f32> {
+            slates.borrow_mut().push(items.to_vec());
+            let score = |i: u32| if i % 2 == 1 { f32::NAN } else { i as f32 };
+            items.iter().map(|&i| score(i)).collect()
+        };
+        let r = run_ab_test(&d, &[("nan", &scorer)], 300, 5, 3);
+        assert_eq!(r[0].impressions, 300);
+        let (slates, shown) = (slates.borrow(), shown.borrow());
+        assert_eq!(shown.len(), 300);
+        let mut scored = 0;
+        for (slate, item) in slates.iter().zip(shown.iter()) {
+            match slate.iter().filter(|&&i| i % 2 == 0).max() {
+                Some(best) => {
+                    assert_eq!(item, best, "slate {slate:?}");
+                    scored += 1;
+                }
+                None => assert!(slate.contains(item), "slate {slate:?}"),
+            }
+        }
+        // most slates hold a scored item, and some hold none
+        assert!((250..300).contains(&scored), "{scored} scored slates");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! `-ln σ(score(u, i⁺) - score(u, i⁻))`, here written as
 //! `softplus(s⁻ - s⁺)`.
 
-use crate::common::dot_scores;
 use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_data::batch::Batch;
 use nm_nn::{Embedding, Module, Param};
+use nm_serve::HeadKind;
 use nm_tensor::rng::{Rng, SeedableRng, StdRng};
 use nm_tensor::TensorRng;
 use std::rc::Rc;
@@ -105,7 +105,7 @@ impl CdrModel for BprModel {
 
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
         let (ue, ie) = self.tables(domain);
-        dot_scores(&ue.table_value(), &ie.table_value(), users, items)
+        HeadKind::Dot.score_pairs(&ue.table_value(), &ie.table_value(), users, items)
     }
 }
 
@@ -118,7 +118,7 @@ impl nm_serve::FrozenModel for BprModel {
             nm_serve::DomainSnapshot {
                 users: ue.table_value(),
                 items: ie.table_value(),
-                head: nm_serve::HeadKind::Dot,
+                head: HeadKind::Dot,
             }
         };
         nm_serve::Snapshot {

@@ -8,11 +8,11 @@
 //! prediction time an overlapped user's embedding is averaged with the
 //! mapped counterpart.
 
-use crate::common::dot_scores;
 use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_data::batch::Batch;
 use nm_nn::{Embedding, Module, Param};
+use nm_serve::HeadKind;
 use nm_tensor::{Tensor, TensorRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -204,7 +204,7 @@ impl CdrModel for DmlModel {
             Domain::A => (ea, &self.item_a),
             Domain::B => (eb, &self.item_b),
         };
-        dot_scores(ue, &ie.table_value(), users, items)
+        HeadKind::Dot.score_pairs(ue, &ie.table_value(), users, items)
     }
 }
 

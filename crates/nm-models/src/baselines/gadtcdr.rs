@@ -9,10 +9,10 @@
 //! substrate). The fusion is the original's element-wise attention
 //! (a learned per-dimension gate over the two domain views).
 
-use crate::common::mlp_scores;
 use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_nn::{Activation, Embedding, Linear, Mlp, Module, Param};
+use nm_serve::{HeadKind, MlpHead};
 use nm_tensor::{Tensor, TensorRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -215,10 +215,7 @@ impl CdrModel for GaDtcdrModel {
             Domain::A => (&c.user_a, &c.item_a, &self.head_a),
             Domain::B => (&c.user_b, &c.item_b, &self.head_b),
         };
-        mlp_scores(ue, ve, users, items, |tape, u, v| {
-            let x = tape.concat_cols(u, v);
-            head.forward(tape, x)
-        })
+        HeadKind::Mlp(MlpHead::from_mlp(head)).score_pairs(ue, ve, users, items)
     }
 }
 
@@ -262,9 +259,8 @@ mod tests {
         let train_scores = tape.value(l).data().to_vec();
         m.prepare_eval();
         let ev = m.eval_scores(Domain::B, &users, &items);
-        for (a, b) in train_scores.iter().zip(&ev) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&train_scores), bits(&ev));
     }
 
     #[test]

@@ -9,21 +9,15 @@
 //! local embedding plus the gathered global rows. Prediction via a
 //! per-domain MLP on `[u ‖ v]`.
 
-use crate::common::{mlp_scores, SharedUserIndex};
+use crate::common::SharedUserIndex;
 use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_graph::Csr;
 use nm_nn::{Activation, Embedding, Linear, Mlp, Module, Param};
-use nm_tensor::{Tensor, TensorRng};
+use nm_serve::{DomainSnapshot, FrozenModel, HeadKind, MlpHead, Snapshot};
+use nm_tensor::TensorRng;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-struct EvalCache {
-    user_a: Tensor,
-    user_b: Tensor,
-    item_a: Tensor,
-    item_b: Tensor,
-}
 
 /// HeroGraph: global cross-domain graph + local enhancement.
 pub struct HeroGraphModel {
@@ -48,7 +42,9 @@ pub struct HeroGraphModel {
     gmap_user_b: Rc<Vec<u32>>,
     gmap_item_a: Rc<Vec<u32>>,
     gmap_item_b: Rc<Vec<u32>>,
-    cache: RefCell<Option<EvalCache>>,
+    /// The propagated tables and heads `eval_scores` scores through,
+    /// which is also the snapshot `export_frozen` publishes.
+    frozen: RefCell<Option<Snapshot>>,
 }
 
 impl HeroGraphModel {
@@ -106,7 +102,7 @@ impl HeroGraphModel {
             gmap_user_b,
             gmap_item_a,
             gmap_item_b,
-            cache: RefCell::new(None),
+            frozen: RefCell::new(None),
             index,
             task,
         }
@@ -165,6 +161,25 @@ impl HeroGraphModel {
         };
         head.forward(tape, x)
     }
+
+    /// Freezes the *propagated* tables (local + gathered global rows)
+    /// and the per-domain prediction MLPs.
+    fn freeze(&self) -> Snapshot {
+        let mut tape = Tape::new();
+        let g = self.propagate_global(&mut tape);
+        let mut mk = |domain: Domain, head: &Mlp| {
+            let (u, v) = self.tables_for(&mut tape, g, domain);
+            DomainSnapshot {
+                users: tape.value(u).clone(),
+                items: tape.value(v).clone(),
+                head: HeadKind::Mlp(MlpHead::from_mlp(head)),
+            }
+        };
+        Snapshot {
+            model: "HeroGraph".into(),
+            domains: [mk(Domain::A, &self.head_a), mk(Domain::B, &self.head_b)],
+        }
+    }
 }
 
 impl Module for HeroGraphModel {
@@ -201,52 +216,23 @@ impl CdrModel for HeroGraphModel {
     }
 
     fn prepare_eval(&mut self) {
-        let mut tape = Tape::new();
-        let g = self.propagate_global(&mut tape);
-        let (ua, ia) = self.tables_for(&mut tape, g, Domain::A);
-        let (ub, ib) = self.tables_for(&mut tape, g, Domain::B);
-        *self.cache.borrow_mut() = Some(EvalCache {
-            user_a: tape.value(ua).clone(),
-            item_a: tape.value(ia).clone(),
-            user_b: tape.value(ub).clone(),
-            item_b: tape.value(ib).clone(),
-        });
+        *self.frozen.get_mut() = Some(self.freeze());
     }
 
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let cache = self.cache.borrow();
-        let c = cache.as_ref().expect("prepare_eval not called");
-        let (ue, ve, head) = match domain {
-            Domain::A => (&c.user_a, &c.item_a, &self.head_a),
-            Domain::B => (&c.user_b, &c.item_b, &self.head_b),
-        };
-        mlp_scores(ue, ve, users, items, |tape, u, v| {
-            let x = tape.concat_cols(u, v);
-            head.forward(tape, x)
-        })
+        let mut frozen = self.frozen.borrow_mut();
+        let snap = frozen.get_or_insert_with(|| self.freeze());
+        snap.score_pairs(domain.index(), users, items)
     }
 }
 
-impl nm_serve::FrozenModel for HeroGraphModel {
-    /// Exports the *propagated* tables (local + gathered global rows)
-    /// plus the per-domain prediction MLPs — the same cache + head that
-    /// `eval_scores` uses, so serving matches offline eval bit-for-bit.
-    fn export_frozen(&mut self) -> nm_serve::Snapshot {
-        self.prepare_eval();
-        let cache = self.cache.borrow();
-        let c = cache.as_ref().expect("prepare_eval just ran");
-        let mk = |u: &Tensor, v: &Tensor, head: &Mlp| nm_serve::DomainSnapshot {
-            users: u.clone(),
-            items: v.clone(),
-            head: nm_serve::HeadKind::Mlp(nm_serve::MlpHead::from_mlp(head)),
-        };
-        nm_serve::Snapshot {
-            model: "HeroGraph".into(),
-            domains: [
-                mk(&c.user_a, &c.item_a, &self.head_a),
-                mk(&c.user_b, &c.item_b, &self.head_b),
-            ],
-        }
+impl FrozenModel for HeroGraphModel {
+    /// Freezes afresh and publishes the snapshot `eval_scores` then
+    /// scores through, so serving matches offline eval by construction.
+    fn export_frozen(&mut self) -> Snapshot {
+        let snap = self.freeze();
+        *self.frozen.get_mut() = Some(snap.clone());
+        snap
     }
 }
 
@@ -308,9 +294,8 @@ mod tests {
         let tr = tape.value(l).data().to_vec();
         m.prepare_eval();
         let ev = m.eval_scores(Domain::A, &users, &items);
-        for (a, b) in tr.iter().zip(&ev) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tr), bits(&ev));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! single-domain baseline: stacked MLPs over the concatenated user/item
 //! embeddings, trained per domain with no cross-domain sharing.
 
-use crate::common::mlp_scores;
 use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_nn::{Activation, Embedding, Mlp, Module, Param};
+use nm_serve::{HeadKind, MlpHead};
 use nm_tensor::TensorRng;
 use std::rc::Rc;
 
@@ -79,15 +79,11 @@ impl CdrModel for LrModel {
 
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
         let t = self.tower(domain);
-        mlp_scores(
+        HeadKind::Mlp(MlpHead::from_mlp(&t.head)).score_pairs(
             &t.users.table_value(),
             &t.items.table_value(),
             users,
             items,
-            |tape, u, v| {
-                let x = tape.concat_cols(u, v);
-                t.head.forward(tape, x)
-            },
         )
     }
 }
@@ -130,9 +126,8 @@ mod tests {
         let l = m.forward_logits(&mut tape, Domain::B, &users, &items);
         let train_scores = tape.value(l).data().to_vec();
         let eval = m.eval_scores(Domain::B, &users, &items);
-        for (a, b) in train_scores.iter().zip(&eval) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&train_scores), bits(&eval));
     }
 
     #[test]

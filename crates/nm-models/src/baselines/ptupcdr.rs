@@ -11,11 +11,11 @@
 //! trained with a task-oriented objective on target-domain labels)
 //! while the generated-parameter count stays linear.
 
-use crate::common::dot_scores;
 use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_data::batch::Batch;
 use nm_nn::{Activation, Embedding, Mlp, Module, Param};
+use nm_serve::HeadKind;
 use nm_tensor::{Tensor, TensorRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -249,7 +249,7 @@ impl CdrModel for PtupcdrModel {
             Domain::A => (ta, &self.item_a),
             Domain::B => (tb, &self.item_b),
         };
-        dot_scores(ue, &ie.table_value(), users, items)
+        HeadKind::Dot.score_pairs(ue, &ie.table_value(), users, items)
     }
 }
 

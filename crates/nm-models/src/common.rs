@@ -68,45 +68,7 @@ pub fn user_history_mean(tape: &mut Tape, adj: &Rc<Csr>, adj_t: &Rc<Csr>, item_t
 
 /// Builds the 0/1 target tensor for a batch's labels.
 pub fn label_tensor(labels: &[f32]) -> Rc<Tensor> {
-    Rc::new(Tensor::from_vec(labels.len(), 1, labels.to_vec()).expect("labels"))
-}
-
-/// Evaluation helper: dot-product scores between cached user/item
-/// embedding tables for `(user, item)` pairs.
-pub fn dot_scores(user_emb: &Tensor, item_emb: &Tensor, users: &[u32], items: &[u32]) -> Vec<f32> {
-    assert_eq!(users.len(), items.len());
-    let d = user_emb.cols();
-    assert_eq!(d, item_emb.cols(), "embedding dim mismatch");
-    users
-        .iter()
-        .zip(items)
-        .map(|(&u, &i)| {
-            let ur = user_emb.row_slice(u as usize);
-            let ir = item_emb.row_slice(i as usize);
-            ur.iter().zip(ir).map(|(a, b)| a * b).sum()
-        })
-        .collect()
-}
-
-/// Evaluation helper: runs `(u ‖ v)`-style logits through a closure that
-/// builds the head on a throwaway tape, returning raw scores.
-///
-/// `user_emb`/`item_emb` are cached (already propagated) embedding
-/// tables; the closure receives the gathered pair matrices.
-pub fn mlp_scores(
-    user_emb: &Tensor,
-    item_emb: &Tensor,
-    users: &[u32],
-    items: &[u32],
-    head: impl FnOnce(&mut Tape, Var, Var) -> Var,
-) -> Vec<f32> {
-    let mut tape = Tape::new();
-    let ut = tape.constant(user_emb.gather_rows(users));
-    let it = tape.constant(item_emb.gather_rows(items));
-    let logits = head(&mut tape, ut, it);
-    let v = tape.value(logits);
-    assert_eq!(v.cols(), 1, "head must produce one logit per row");
-    v.data().to_vec()
+    Rc::new(Tensor::col(labels.to_vec()))
 }
 
 #[cfg(test)]
@@ -160,24 +122,5 @@ mod tests {
         };
         let idx = SharedUserIndex::build(&t0);
         assert_eq!(idx.n_global, 190); // nothing merges
-    }
-
-    #[test]
-    fn dot_scores_values() {
-        let u = Tensor::new(2, 2, vec![1., 0., 0., 2.]);
-        let v = Tensor::new(2, 2, vec![3., 4., 5., 6.]);
-        let s = dot_scores(&u, &v, &[0, 1], &[0, 1]);
-        assert_eq!(s, vec![3.0, 12.0]);
-    }
-
-    #[test]
-    fn mlp_scores_shape_contract() {
-        let u = Tensor::new(2, 3, vec![0.0; 6]);
-        let v = Tensor::new(2, 3, vec![0.0; 6]);
-        let s = mlp_scores(&u, &v, &[0, 1, 1], &[0, 0, 1], |tape, uu, vv| {
-            let d = tape.rowwise_dot(uu, vv);
-            tape.add_scalar(d, 1.0)
-        });
-        assert_eq!(s, vec![1.0, 1.0, 1.0]);
     }
 }

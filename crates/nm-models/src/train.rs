@@ -760,7 +760,7 @@ mod tests {
                 crate::Domain::A => (&self.user_a, &self.item_a),
                 crate::Domain::B => (&self.user_b, &self.item_b),
             };
-            crate::common::dot_scores(&ue.table_value(), &ie.table_value(), users, items)
+            nm_serve::HeadKind::Dot.score_pairs(&ue.table_value(), &ie.table_value(), users, items)
         }
     }
 

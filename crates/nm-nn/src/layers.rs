@@ -71,10 +71,6 @@ impl Linear {
         self.w.shape().0
     }
 
-    pub fn out_dim(&self) -> usize {
-        self.w.shape().1
-    }
-
     /// The weight parameter (for tests / inspection).
     pub fn weight(&self) -> &Param {
         &self.w
@@ -168,10 +164,6 @@ impl Mlp {
             }
         }
         x
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().unwrap().out_dim()
     }
 
     /// The `i`-th linear layer (weight inspection, stability analysis).

@@ -2,7 +2,7 @@
 //!
 //! Traces from any [`crate::trace`] sink (`train --trace-out`, the
 //! serve exemplar renderer), profile dumps and flight-recorder series
-//! are all read line by line through [`read_lines`], and every object
+//! are all read line by line through `read_lines`, and every object
 //! in them through [`Json::fields`] with one field table per schema:
 //! unknown fields, missing fields, and type mismatches are errors, so
 //! no schema can drift silently. Library tests (e.g. nm-serve's

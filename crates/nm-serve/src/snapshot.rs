@@ -22,15 +22,20 @@
 //!     per layer: W tensor, has_bias u32, [bias tensor]
 //! ```
 //!
-//! Scoring here is **bit-for-bit identical** to the offline eval path:
-//! the dot head replicates `dot_scores`' sequential dot, and the MLP
-//! head replicates `Tensor::matmul`'s k-ascending zero-skipping
-//! accumulation (via [`nm_tensor::vecmat_blocked`]) with the bias added
-//! after the full accumulation, exactly like the tape's broadcast add.
+//! Scoring has one function per head, [`HeadKind::score_pairs`], and
+//! offline eval, the engine's shards and the wire `score` request all
+//! call it, so offline/online parity holds by construction. The dot
+//! head is one sequential `Iterator::sum` dot per pair. The MLP head
+//! gathers the `n x (du + di)` rows `[u ‖ v]` once, then runs each layer
+//! as [`Tensor::matmul`] (the training kernel), the bias added as
+//! `acc + b`, and the hidden activation: the ops and operand order of
+//! `nm_nn::Mlp::forward` on the training tape, so the bits are the same.
+//! A dot head's shard uses [`nm_tensor::vecmat_nt_blocked`], the same
+//! sequential dot.
 
 use nm_nn::checkpoint::{read_tensor, read_u32, write_tensor, write_u32, CheckpointError};
 use nm_nn::Activation;
-use nm_tensor::{sigmoid_scalar, vecmat_blocked, vecmat_nt_blocked, Tensor};
+use nm_tensor::{sigmoid_scalar, vecmat_nt_blocked, Tensor};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -107,6 +112,64 @@ fn apply_act(act: Activation, xs: &mut [f32]) {
     }
 }
 
+impl HeadKind {
+    /// Eq. 20 for parallel `(user, item)` pairs: pair `j` scores row
+    /// `users[j]` of `user_tbl` against row `items[j]` of `item_tbl`.
+    /// This is the workspace's one scorer (see the module docs).
+    ///
+    /// # Panics
+    /// If the pair arrays differ in length, a dot head's tables differ
+    /// in width, or an id is out of range.
+    pub fn score_pairs(
+        &self,
+        user_tbl: &Tensor,
+        item_tbl: &Tensor,
+        users: &[u32],
+        items: &[u32],
+    ) -> Vec<f32> {
+        assert_eq!(users.len(), items.len(), "parallel pair arrays");
+        match self {
+            HeadKind::Dot => {
+                assert_eq!(user_tbl.cols(), item_tbl.cols(), "embedding dim mismatch");
+                users
+                    .iter()
+                    .zip(items)
+                    .map(|(&u, &i)| {
+                        let ur = user_tbl.row_slice(u as usize);
+                        let ir = item_tbl.row_slice(i as usize);
+                        ur.iter().zip(ir).map(|(a, b)| a * b).sum()
+                    })
+                    .collect()
+            }
+            HeadKind::Mlp(h) => {
+                let du = user_tbl.cols();
+                let mut x = Tensor::zeros(users.len(), du + item_tbl.cols());
+                for (j, (&u, &i)) in users.iter().zip(items).enumerate() {
+                    let row = x.row_slice_mut(j);
+                    row[..du].copy_from_slice(user_tbl.row_slice(u as usize));
+                    row[du..].copy_from_slice(item_tbl.row_slice(i as usize));
+                }
+                for (l, (w, b)) in h.layers.iter().enumerate() {
+                    x = x.matmul(w);
+                    if let Some(b) = b {
+                        for r in 0..x.rows() {
+                            // `acc + b`, the tape's broadcast add: the
+                            // operand order decides which NaN survives
+                            for (acc, &bv) in x.row_slice_mut(r).iter_mut().zip(b.data()) {
+                                *acc += bv;
+                            }
+                        }
+                    }
+                    if l + 1 < h.layers.len() {
+                        apply_act(h.hidden_act, x.data_mut());
+                    }
+                }
+                x.into_vec()
+            }
+        }
+    }
+}
+
 impl MlpHead {
     /// Freezes a trained [`nm_nn::Mlp`] into plain tensors.
     pub fn from_mlp(mlp: &nm_nn::Mlp) -> MlpHead {
@@ -119,28 +182,6 @@ impl MlpHead {
                 .collect(),
             hidden_act: mlp.hidden_act(),
         }
-    }
-
-    /// Forward pass on one concatenated `(u ‖ v)` input row. Returns
-    /// the single logit.
-    fn forward(&self, x: Vec<f32>) -> f32 {
-        let last = self.layers.len() - 1;
-        let mut cur = x;
-        for (i, (w, b)) in self.layers.iter().enumerate() {
-            let mut y = vecmat_blocked(
-                &cur,
-                w.data(),
-                w.rows(),
-                w.cols(),
-                b.as_ref().map(|t| t.data()),
-            );
-            if i < last {
-                apply_act(self.hidden_act, &mut y);
-            }
-            cur = y;
-        }
-        debug_assert_eq!(cur.len(), 1, "prediction head must emit one logit");
-        cur[0]
     }
 
     fn validate(&self, in_dim: usize) -> Result<(), CheckpointError> {
@@ -201,34 +242,11 @@ impl Snapshot {
         self.domains[domain].items.rows()
     }
 
-    /// Scores parallel `(user, item)` pairs — the serving twin of the
-    /// models' `eval_scores`, bit-for-bit.
+    /// Scores parallel `(user, item)` pairs of a domain through its
+    /// head's [`HeadKind::score_pairs`].
     pub fn score_pairs(&self, domain: usize, users: &[u32], items: &[u32]) -> Vec<f32> {
-        assert_eq!(users.len(), items.len(), "parallel pair arrays");
         let d = &self.domains[domain];
-        match &d.head {
-            HeadKind::Dot => users
-                .iter()
-                .zip(items)
-                .map(|(&u, &i)| {
-                    let ur = d.users.row_slice(u as usize);
-                    let ir = d.items.row_slice(i as usize);
-                    ur.iter().zip(ir).map(|(a, b)| a * b).sum()
-                })
-                .collect(),
-            HeadKind::Mlp(h) => users
-                .iter()
-                .zip(items)
-                .map(|(&u, &i)| {
-                    let ur = d.users.row_slice(u as usize);
-                    let ir = d.items.row_slice(i as usize);
-                    let mut x = Vec::with_capacity(ur.len() + ir.len());
-                    x.extend_from_slice(ur);
-                    x.extend_from_slice(ir);
-                    h.forward(x)
-                })
-                .collect(),
-        }
+        d.head.score_pairs(&d.users, &d.items, users, items)
     }
 
     /// Scores one user against the item id range `lo..hi` of a domain,
@@ -244,24 +262,19 @@ impl Snapshot {
     ) {
         assert_eq!(out.len(), hi - lo, "output buffer size");
         let d = &self.domains[domain];
-        let ur = d.users.row_slice(user as usize);
-        match &d.head {
+        let scores = match &d.head {
             HeadKind::Dot => {
                 let k = d.items.cols();
                 let rows = &d.items.data()[lo * k..hi * k];
-                let scores = vecmat_nt_blocked(ur, rows, hi - lo, k, None);
-                out.copy_from_slice(&scores);
+                vecmat_nt_blocked(d.users.row_slice(user as usize), rows, hi - lo, k, None)
             }
-            HeadKind::Mlp(h) => {
-                let k = d.items.cols();
-                for (j, o) in (lo..hi).zip(out.iter_mut()) {
-                    let mut x = Vec::with_capacity(ur.len() + k);
-                    x.extend_from_slice(ur);
-                    x.extend_from_slice(d.items.row_slice(j));
-                    *o = h.forward(x);
-                }
+            HeadKind::Mlp(_) => {
+                let items: Vec<u32> = (lo as u32..hi as u32).collect();
+                d.head
+                    .score_pairs(&d.users, &d.items, &vec![user; items.len()], &items)
             }
-        }
+        };
+        out.copy_from_slice(&scores);
     }
 
     /// Serializes the snapshot.
@@ -487,17 +500,112 @@ mod tests {
         }
     }
 
+    /// A seeded `n x 6` table with IEEE specials planted in rows 1–3:
+    /// ±0.0 and a subnormal, then ±inf, then NaN.
+    fn planted_table(n: usize, rng: &mut TensorRng) -> Tensor {
+        let mut t = Tensor::randn(n, 6, 1.0, rng);
+        for (r, c, v) in [
+            (1, 0, 0.0),
+            (1, 1, -0.0),
+            (1, 2, 1e-40),
+            (2, 0, f32::INFINITY),
+            (2, 3, f32::NEG_INFINITY),
+            (3, 5, f32::NAN),
+        ] {
+            t.set(r, c, v);
+        }
+        t
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn mlp_forward_matches_reference() {
-        // Tiny hand-checked case: identity-ish single layer.
-        let head = MlpHead {
-            layers: vec![(
-                Tensor::new(2, 1, vec![1.0, 2.0]),
-                Some(Tensor::new(1, 1, vec![0.5])),
-            )],
-            hidden_act: Activation::Relu,
+    fn frozen_heads_match_the_training_head_bit_for_bit() {
+        use nm_autograd::Tape;
+        use std::rc::Rc;
+        let mut rng = TensorRng::seed_from(21);
+        let users_tbl = planted_table(40, &mut rng);
+        let items_tbl = planted_table(50, &mut rng);
+        // `[u ‖ v]` rows as the training tape gathers them
+        let tape_rows = |tape: &mut Tape, users: &[u32], items: &[u32]| {
+            let ut = tape.constant(users_tbl.clone());
+            let it = tape.constant(items_tbl.clone());
+            let u = tape.gather_rows(ut, Rc::new(users.to_vec()));
+            let v = tape.gather_rows(it, Rc::new(items.to_vec()));
+            tape.concat_cols(u, v)
         };
-        assert_eq!(head.forward(vec![3.0, 4.0]), 3.0 + 8.0 + 0.5);
+        type Reference<'a> = Box<dyn Fn(&[u32], &[u32]) -> Vec<f32> + 'a>;
+        let mut heads: Vec<(String, HeadKind, Reference<'_>)> = Vec::new();
+        for act in [
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::None,
+        ] {
+            let mlp = nm_nn::Mlp::new("head", &[12, 5, 1], act, &mut rng);
+            // Xavier init leaves the biases zero; make them count
+            for i in 0..mlp.n_layers() {
+                if let Some(b) = mlp.layer(i).bias() {
+                    b.set_value(Tensor::randn(1, b.shape().1, 0.5, &mut rng));
+                }
+            }
+            let head = HeadKind::Mlp(MlpHead::from_mlp(&mlp));
+            let reference: Reference = Box::new(move |users: &[u32], items: &[u32]| {
+                let mut tape = Tape::new();
+                let x = tape_rows(&mut tape, users, items);
+                let y = mlp.forward(&mut tape, x);
+                tape.value(y).data().to_vec()
+            });
+            heads.push((format!("{act:?} mlp"), head, reference));
+        }
+        let w = Tensor::randn(12, 1, 0.5, &mut rng);
+        let bias_free = HeadKind::Mlp(MlpHead {
+            layers: vec![(w.clone(), None)],
+            hidden_act: Activation::Relu,
+        });
+        let reference: Reference = Box::new(move |users: &[u32], items: &[u32]| {
+            let mut tape = Tape::new();
+            let x = tape_rows(&mut tape, users, items);
+            tape.value(x).matmul(&w).into_vec()
+        });
+        heads.push(("bias-free layer".into(), bias_free, reference));
+        let reference: Reference = Box::new(|users: &[u32], items: &[u32]| {
+            let u = users_tbl.gather_rows(users);
+            u.rowwise_dot(&items_tbl.gather_rows(items)).into_vec()
+        });
+        heads.push(("dot".into(), HeadKind::Dot, reference));
+
+        for (name, head, reference) in &heads {
+            for n in [0, 1, 300] {
+                // pairs 1..4 cross the planted rows with each other
+                let users: Vec<u32> = (0..n).map(|j| (j % 40) as u32).collect();
+                let mut items: Vec<u32> = (0..n).map(|_| rng.index(50) as u32).collect();
+                items.iter_mut().zip([0, 3, 2, 1]).for_each(|(i, p)| *i = p);
+                let got = head.score_pairs(&users_tbl, &items_tbl, &users, &items);
+                let want = reference(&users, &items);
+                assert_eq!(bits(&got), bits(&want), "{name}, {n} pairs");
+            }
+            // the shard kernel over uneven ranges equals the pair kernel
+            let snap = Snapshot {
+                model: name.clone(),
+                domains: [0, 1].map(|_| DomainSnapshot {
+                    users: users_tbl.clone(),
+                    items: items_tbl.clone(),
+                    head: head.clone(),
+                }),
+            };
+            let all: Vec<u32> = (0..50).collect();
+            for user in [0, 1, 2, 3, 7] {
+                let want = snap.score_pairs(1, &vec![user; all.len()], &all);
+                let mut got = vec![0.0f32; all.len()];
+                for (lo, hi) in [(0, 1), (1, 9), (9, 9), (9, 32), (32, 50)] {
+                    snap.score_user_range(1, user, lo, hi, &mut got[lo..hi]);
+                }
+                assert_eq!(bits(&got), bits(&want), "{name}, user {user} by range");
+            }
+        }
     }
 
     #[test]

@@ -152,9 +152,8 @@ impl<H: Send, B: Backend> RespawnCore<H, B> {
         self.children.with(f)
     }
 
-    /// Blocks until `f` yields `Some`; woken by every [`scan`] and by
-    /// [`notify`]. (`scan`: RespawnCore::scan, `notify`:
-    /// RespawnCore::notify.)
+    /// Blocks until `f` yields `Some`; woken by every
+    /// [`scan`](Self::scan) and by [`notify`](Self::notify).
     pub fn wait<R>(&self, f: impl FnMut(&mut Vec<ChildCell<H>>) -> Option<R>) -> R {
         self.children.wait_until(f)
     }

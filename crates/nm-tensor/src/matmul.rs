@@ -314,50 +314,9 @@ impl Tensor {
     }
 }
 
-/// Column-block width for the serving vector kernels: 64 f32 = 256 B,
-/// four cache lines, small enough that `x` stays resident.
+/// Row-block height for [`vecmat_nt_blocked`]: 64 rows per block, so
+/// `x` stays resident while the block streams past it.
 const VEC_BLOCK: usize = 64;
-
-/// Blocked row-vector × matrix: `x (1 x k) * w (k x n) -> 1 x n`,
-/// `out[j] += bias[j]` after the full accumulation.
-///
-/// Bit-for-bit compatible with `Tensor::matmul` on a `1 x k` lhs
-/// followed by a broadcast add: per output element the sum runs over
-/// `k` ascending and skips `x[kk] == 0.0` exactly like `matmul`'s
-/// reference loop, and blocking only partitions the `j` axis, which
-/// never reorders any single element's accumulation.
-pub fn vecmat_blocked(x: &[f32], w: &[f32], k: usize, n: usize, bias: Option<&[f32]>) -> Vec<f32> {
-    assert_eq!(x.len(), k, "vecmat_blocked: x len {} != k {k}", x.len());
-    assert_eq!(
-        w.len(),
-        k * n,
-        "vecmat_blocked: w len {} != {k}x{n}",
-        w.len()
-    );
-    let mut out = vec![0.0f32; n];
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + VEC_BLOCK).min(n);
-        let oblk = &mut out[j0..j1];
-        for (kk, &xv) in x.iter().enumerate() {
-            if xv == 0.0 {
-                continue;
-            }
-            let wblk = &w[kk * n + j0..kk * n + j1];
-            for (ov, &wv) in oblk.iter_mut().zip(wblk) {
-                *ov += xv * wv;
-            }
-        }
-        j0 = j1;
-    }
-    if let Some(b) = bias {
-        assert_eq!(b.len(), n, "vecmat_blocked: bias len {} != n {n}", b.len());
-        for (ov, &bv) in out.iter_mut().zip(b) {
-            *ov += bv;
-        }
-    }
-    out
-}
 
 /// Blocked row-vector × matrix-transpose: dots `x (1 x k)` against each
 /// of the `n_rows` length-`k` rows of `rows`, i.e. `x * rows^T`.
@@ -452,25 +411,6 @@ mod tests {
         let expect = a.matmul(&b.transpose());
         let got = a.matmul_nt(&b);
         assert!(expect.max_abs_diff(&got) < 1e-6);
-    }
-
-    #[test]
-    fn vecmat_blocked_bitwise_matches_matmul() {
-        // Spans several blocks (n > VEC_BLOCK) and includes exact zeros
-        // in x so the skip path is exercised.
-        let mut rng = TensorRng::seed_from(11);
-        let k = 37;
-        let n = 150;
-        let mut x = Tensor::randn(1, k, 1.0, &mut rng);
-        x.data_mut()[3] = 0.0;
-        x.data_mut()[k - 1] = 0.0;
-        let w = Tensor::randn(k, n, 1.0, &mut rng);
-        let b = Tensor::randn(1, n, 1.0, &mut rng);
-        let reference = x.matmul(&w).add(&b);
-        let got = vecmat_blocked(x.data(), w.data(), k, n, Some(b.data()));
-        assert_eq!(got.as_slice(), reference.data(), "must match bit for bit");
-        let no_bias = vecmat_blocked(x.data(), w.data(), k, n, None);
-        assert_eq!(no_bias.as_slice(), x.matmul(&w).data());
     }
 
     #[test]
@@ -589,11 +529,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "vecmat_blocked: w len")]
-    fn vecmat_blocked_shape_mismatch_panics() {
-        let _ = vecmat_blocked(&[1.0, 2.0], &[1.0; 5], 2, 3, None);
     }
 }

@@ -6,6 +6,7 @@ use nm_graph::{sampling, Csr};
 use nm_models::{CdrModel, CdrTask, Domain};
 use nm_nn::{Activation, Embedding, GateFusion, Linear, Mlp, Module, Param};
 use nm_obs::trace;
+use nm_serve::{DomainSnapshot, FrozenModel, HeadKind, MlpHead, Snapshot};
 use nm_tensor::rng::{Rng, SeedableRng, StdRng};
 use nm_tensor::{Tensor, TensorRng};
 use std::cell::RefCell;
@@ -34,11 +35,6 @@ pub struct StageEmbeddings {
     pub g3: [Tensor; 2],
     /// After intra node complementing.
     pub g4: [Tensor; 2],
-}
-
-struct EvalCache {
-    user: [Tensor; 2],
-    item: [Tensor; 2],
 }
 
 /// All intermediate user tables of one full propagation.
@@ -75,7 +71,10 @@ pub struct NmcdrModel {
     self_gather: [Rc<Vec<u32>>; 2],
     self_mask: [Tensor; 2],
     bridges: RefCell<[DomainBridges; 2]>,
-    cache: RefCell<Option<EvalCache>>,
+    /// The g4 user tables, item tables and prediction MLPs that
+    /// `eval_scores` scores through, which is also the snapshot
+    /// `export_frozen` publishes.
+    frozen: RefCell<Option<Snapshot>>,
     epoch_built: RefCell<Option<usize>>,
 }
 
@@ -176,7 +175,7 @@ impl NmcdrModel {
             self_gather: [sg_a, sg_b],
             self_mask: [sm_a, sm_b],
             bridges,
-            cache: RefCell::new(None),
+            frozen: RefCell::new(None),
             epoch_built: RefCell::new(Some(0)),
             task,
             cfg,
@@ -551,19 +550,21 @@ impl Module for NmcdrModel {
 }
 
 impl NmcdrModel {
-    /// Recomputes the frozen eval tables (`&self` thanks to the
-    /// interior cache cell), so any reader can rebuild a missing cache
-    /// instead of panicking on it.
-    fn build_eval_cache(&self) {
+    /// Runs the full propagation once and freezes the g4 user tables,
+    /// the item tables and the shared prediction MLPs (Eq. 20). Takes
+    /// `&self`, so `eval_scores` can freeze a missing snapshot itself.
+    fn freeze(&self) -> Snapshot {
         let mut tape = Tape::new();
         let s = self.propagate(&mut tape);
-        *self.cache.borrow_mut() = Some(EvalCache {
-            user: [tape.value(s.g4[0]).clone(), tape.value(s.g4[1]).clone()],
-            item: [
-                tape.value(s.items[0]).clone(),
-                tape.value(s.items[1]).clone(),
-            ],
-        });
+        let mk = |z: usize| DomainSnapshot {
+            users: tape.value(s.g4[z]).clone(),
+            items: tape.value(s.items[z]).clone(),
+            head: HeadKind::Mlp(MlpHead::from_mlp(&self.pred[z])),
+        };
+        Snapshot {
+            model: "NMCDR".into(),
+            domains: [mk(0), mk(1)],
+        }
     }
 }
 
@@ -612,7 +613,7 @@ impl CdrModel for NmcdrModel {
         for (z, batch) in [(0usize, batch_a), (1usize, batch_b)] {
             let users = Rc::new(batch.users.clone());
             let items = Rc::new(batch.items.clone());
-            let targets = Rc::new(Tensor::col(batch.labels.clone()));
+            let targets = nm_models::common::label_tensor(&batch.labels);
             let dom = if z == 0 { "a" } else { "b" };
             let co_weight = if z == 0 { w[4] } else { w[5] };
             if !self.cfg.ablation.no_companion && co_weight != 0.0 {
@@ -681,58 +682,24 @@ impl CdrModel for NmcdrModel {
     }
 
     fn prepare_eval(&mut self) {
-        self.build_eval_cache();
+        *self.frozen.get_mut() = Some(self.freeze());
     }
 
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let z = domain.index();
-        if self.cache.borrow().is_none() {
-            self.build_eval_cache();
-        }
-        let cache = self.cache.borrow();
-        let Some(c) = cache.as_ref() else {
-            // unreachable after build_eval_cache; degrade to zeros
-            return vec![0.0; users.len().min(items.len())];
-        };
-        let mut tape = Tape::new();
-        let u = tape.constant(c.user[z].gather_rows(users));
-        let v = tape.constant(c.item[z].gather_rows(items));
-        let x = tape.concat_cols(u, v);
-        let logits = self.pred[z].forward(&mut tape, x);
-        tape.value(logits).data().to_vec()
+        let mut frozen = self.frozen.borrow_mut();
+        let snap = frozen.get_or_insert_with(|| self.freeze());
+        snap.score_pairs(domain.index(), users, items)
     }
 }
 
-impl nm_serve::FrozenModel for NmcdrModel {
-    /// Runs the full NMCDR propagation once and freezes the g4 user
-    /// tables, item tables, and the shared prediction MLPs — exactly
-    /// the state `eval_scores` consumes, so the serving engine scores
-    /// bit-for-bit identically to offline evaluation.
-    fn export_frozen(&mut self) -> nm_serve::Snapshot {
-        self.prepare_eval();
-        let cache = self.cache.borrow();
-        let Some(c) = cache.as_ref() else {
-            // unreachable: prepare_eval just populated the cache; a
-            // minimal consistent snapshot beats a panic in an export
-            let empty = || nm_serve::DomainSnapshot {
-                users: Tensor::zeros(1, 1),
-                items: Tensor::zeros(1, 1),
-                head: nm_serve::HeadKind::Dot,
-            };
-            return nm_serve::Snapshot {
-                model: "NMCDR".into(),
-                domains: [empty(), empty()],
-            };
-        };
-        let mk = |z: usize| nm_serve::DomainSnapshot {
-            users: c.user[z].clone(),
-            items: c.item[z].clone(),
-            head: nm_serve::HeadKind::Mlp(nm_serve::MlpHead::from_mlp(&self.pred[z])),
-        };
-        nm_serve::Snapshot {
-            model: "NMCDR".into(),
-            domains: [mk(0), mk(1)],
-        }
+impl FrozenModel for NmcdrModel {
+    /// Freezes afresh and publishes the snapshot `eval_scores` then
+    /// scores through, so the serving engine matches offline evaluation
+    /// by construction.
+    fn export_frozen(&mut self) -> Snapshot {
+        let snap = self.freeze();
+        *self.frozen.get_mut() = Some(snap.clone());
+        snap
     }
 }
 
@@ -905,9 +872,8 @@ mod tests {
         let fwd = tape.value(l).data().to_vec();
         m.prepare_eval();
         let ev = m.eval_scores(Domain::A, &users, &items);
-        for (a, b) in fwd.iter().zip(&ev) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fwd), bits(&ev));
     }
 
     #[test]

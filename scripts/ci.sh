@@ -48,6 +48,12 @@ fi
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
+echo "== cargo doc (rustdoc warnings are errors) =="
+# `--lib` keeps the root library's docs and nm-cli's `nmcdr` binary
+# from colliding in target/doc/nmcdr. nm-perf is left out: it is the
+# benchmark, changed only together with BENCHMARK.json.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --exclude nm-perf
+
 echo "== cargo test --workspace --release =="
 cargo test --workspace --release -q
 
