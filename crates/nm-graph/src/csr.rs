@@ -10,8 +10,11 @@ use nm_tensor::lanes;
 /// * every column index `< n_cols`.
 ///
 /// Column indices within a row are sorted by construction
-/// (`from_edges` sorts), which makes equality and tests deterministic;
-/// the kernels do not rely on it.
+/// (`from_edges` sorts; the sampled bridges of [`crate::sampling`] sort
+/// each row in place and build through `from_raw`), which makes
+/// equality and tests deterministic; the kernels do not rely on it.
+/// That direct build equals `from_edges` on the same edges only while
+/// no row repeats a column, because `from_edges` merges repeats.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     n_rows: usize,

@@ -13,6 +13,14 @@
 //!   residual connection Eq. 11 already carries self information).
 //! * Sampling is without replacement; if the candidate pool is smaller
 //!   than the requested count the whole pool is used.
+//! * Each bridge is sampled straight into CSR arrays: a row's draws are
+//!   sorted in place and weighted `1/len`, and `indptr` grows by the
+//!   row's length. Sampling without replacement from a pool that holds
+//!   no id twice never repeats a column in a row, so this is exactly
+//!   the matrix [`Csr::from_edges`] builds from the same edges (it sorts
+//!   and would merge repeats). Every builder therefore asserts its pool
+//!   is strictly ascending, as head, tail and non-overlapped user lists
+//!   are.
 
 use crate::{Csr, HeadTailPartition};
 use nm_tensor::rng::seq::index::sample as index_sample;
@@ -29,37 +37,85 @@ pub struct IntraMatchingGraphs {
     pub tail_bridge: Csr,
 }
 
-fn sample_from_pool(pool: &[u32], exclude: u32, count: usize, rng: &mut StdRng) -> Vec<u32> {
-    // Filter self out lazily: sample a couple extra then drop, to avoid
-    // an O(pool) copy per user.
+/// Asserts the direct build's precondition: `pool` is strictly
+/// ascending (so no id repeats) and its ids are below `n_cols`.
+fn check_pool(pool: &[u32], n_cols: usize, what: &str) {
+    assert!(
+        pool.windows(2).all(|w| w[0] < w[1]),
+        "{what} pool is not strictly ascending"
+    );
+    if let Some(&last) = pool.last() {
+        assert!(
+            (last as usize) < n_cols,
+            "{what} pool id {last} out of bounds ({n_cols} columns)"
+        );
+    }
+}
+
+/// Appends to `out`, in draw order, up to `count` ids of `pool` drawn
+/// without replacement, never `exclude`.
+fn sample_from_pool(
+    pool: &[u32],
+    exclude: u32,
+    count: usize,
+    rng: &mut StdRng,
+    out: &mut Vec<u32>,
+) {
     if pool.is_empty() || count == 0 {
-        return Vec::new();
+        return;
     }
     if pool.len() <= count {
-        return pool.iter().copied().filter(|&x| x != exclude).collect();
+        out.extend(pool.iter().copied().filter(|&x| x != exclude));
+        return;
     }
-    let want = (count + 1).min(pool.len());
-    let mut picked: Vec<u32> = index_sample(rng, pool.len(), want)
+    // Filter self out lazily: sample one extra then drop, to avoid an
+    // O(pool) copy per user.
+    let picked = index_sample(rng, pool.len(), count + 1)
         .into_iter()
         .map(|i| pool[i])
         .filter(|&x| x != exclude)
-        .collect();
-    picked.truncate(count);
-    picked
+        .take(count);
+    out.extend(picked);
 }
 
-fn normalized_bridge(n_rows: usize, n_cols: usize, rows: Vec<Vec<u32>>) -> Csr {
-    let mut edges = Vec::new();
-    for (u, neigh) in rows.into_iter().enumerate() {
-        if neigh.is_empty() {
-            continue;
-        }
-        let w = 1.0 / neigh.len() as f32;
-        for v in neigh {
-            edges.push((u as u32, v, w));
+/// A row-normalized bridge under construction, one sampled row at a
+/// time.
+struct Bridge {
+    indptr: Vec<u32>,
+    indices: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl Bridge {
+    fn new(n_rows: usize, row_cap: usize) -> Self {
+        let mut indptr = Vec::with_capacity(n_rows + 1);
+        indptr.push(0);
+        Self {
+            indptr,
+            indices: Vec::with_capacity(n_rows * row_cap),
+            values: Vec::with_capacity(n_rows * row_cap),
         }
     }
-    Csr::from_edges(n_rows, n_cols, &edges)
+
+    /// Samples the next row from `pool` (see [`sample_from_pool`]),
+    /// sorts it and weights each entry `1/len`.
+    fn push_row(&mut self, pool: &[u32], exclude: u32, count: usize, rng: &mut StdRng) {
+        let start = self.indices.len();
+        sample_from_pool(pool, exclude, count, rng, &mut self.indices);
+        let row = &mut self.indices[start..];
+        row.sort_unstable();
+        let w = 1.0 / row.len() as f32;
+        self.values.resize(self.indices.len(), w);
+        self.indptr.push(self.indices.len() as u32);
+    }
+
+    fn finish(self, n_rows: usize, n_cols: usize) -> Csr {
+        match Csr::from_raw(n_rows, n_cols, self.indptr, self.indices, self.values) {
+            Ok(bridge) => bridge,
+            // `check_pool` bounded every id and each row pushed its end.
+            Err(e) => unreachable!("sampled bridge breaks a CSR invariant: {e}"),
+        }
+    }
 }
 
 /// Builds the intra-domain matching graphs for one domain.
@@ -73,26 +129,19 @@ pub fn build_intra(
     seed: u64,
 ) -> IntraMatchingGraphs {
     let n = partition.n_users();
+    let (heads, tails) = (partition.head_users(), partition.tail_users());
+    check_pool(heads, n, "head");
+    check_pool(tails, n, "tail");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut head_rows = Vec::with_capacity(n);
-    let mut tail_rows = Vec::with_capacity(n);
+    let mut head = Bridge::new(n, n_neighbors.min(heads.len()));
+    let mut tail = Bridge::new(n, n_neighbors.min(tails.len()));
     for u in 0..n as u32 {
-        head_rows.push(sample_from_pool(
-            partition.head_users(),
-            u,
-            n_neighbors,
-            &mut rng,
-        ));
-        tail_rows.push(sample_from_pool(
-            partition.tail_users(),
-            u,
-            n_neighbors,
-            &mut rng,
-        ));
+        head.push_row(heads, u, n_neighbors, &mut rng);
+        tail.push_row(tails, u, n_neighbors, &mut rng);
     }
     IntraMatchingGraphs {
-        head_bridge: normalized_bridge(n, n, head_rows),
-        tail_bridge: normalized_bridge(n, n, tail_rows),
+        head_bridge: head.finish(n, n),
+        tail_bridge: tail.finish(n, n),
     }
 }
 
@@ -137,19 +186,16 @@ pub fn build_inter(
             n_users_zbar
         );
     }
+    let pool = foreign_non_overlapped;
+    check_pool(pool, n_users_zbar, "foreign");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = Vec::with_capacity(n_users_z);
+    let mut other = Bridge::new(n_users_z, n_neighbors.min(pool.len()));
     for _ in 0..n_users_z {
         // `exclude` is in Z̄'s id space; u32::MAX never matches.
-        rows.push(sample_from_pool(
-            foreign_non_overlapped,
-            u32::MAX,
-            n_neighbors,
-            &mut rng,
-        ));
+        other.push_row(pool, u32::MAX, n_neighbors, &mut rng);
     }
     InterMatchingGraph {
-        other_bridge: normalized_bridge(n_users_z, n_users_zbar, rows),
+        other_bridge: other.finish(n_users_z, n_users_zbar),
         self_map: overlap_map.to_vec(),
     }
 }
@@ -245,6 +291,143 @@ mod tests {
                 assert!(foreign_non.contains(&n));
             }
         }
+    }
+
+    /// The construction the direct build replaced: each row sampled
+    /// into its own `Vec`, flattened into an edge list and built by
+    /// `Csr::from_edges`.
+    fn reference_rows(pool: &[u32], exclude: u32, count: usize, rng: &mut StdRng) -> Vec<u32> {
+        if pool.is_empty() || count == 0 {
+            return Vec::new();
+        }
+        if pool.len() <= count {
+            return pool.iter().copied().filter(|&x| x != exclude).collect();
+        }
+        let want = (count + 1).min(pool.len());
+        let mut picked: Vec<u32> = index_sample(rng, pool.len(), want)
+            .into_iter()
+            .map(|i| pool[i])
+            .filter(|&x| x != exclude)
+            .collect();
+        picked.truncate(count);
+        picked
+    }
+
+    fn normalized_bridge(n_rows: usize, n_cols: usize, rows: Vec<Vec<u32>>) -> Csr {
+        let mut edges = Vec::new();
+        for (u, neigh) in rows.into_iter().enumerate() {
+            if neigh.is_empty() {
+                continue;
+            }
+            let w = 1.0 / neigh.len() as f32;
+            for v in neigh {
+                edges.push((u as u32, v, w));
+            }
+        }
+        Csr::from_edges(n_rows, n_cols, &edges)
+    }
+
+    fn reference_intra(p: &HeadTailPartition, n_neighbors: usize, seed: u64) -> (Csr, Csr) {
+        let n = p.n_users();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut head, mut tail) = (Vec::new(), Vec::new());
+        for u in 0..n as u32 {
+            head.push(reference_rows(p.head_users(), u, n_neighbors, &mut rng));
+            tail.push(reference_rows(p.tail_users(), u, n_neighbors, &mut rng));
+        }
+        (normalized_bridge(n, n, head), normalized_bridge(n, n, tail))
+    }
+
+    fn reference_inter(n_z: usize, n_zbar: usize, pool: &[u32], count: usize, seed: u64) -> Csr {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = (0..n_z)
+            .map(|_| reference_rows(pool, u32::MAX, count, &mut rng))
+            .collect();
+        normalized_bridge(n_z, n_zbar, rows)
+    }
+
+    /// `Csr` equality plus the bits of every value.
+    fn assert_same_bits(got: &Csr, want: &Csr, what: &str) {
+        assert_eq!(got, want, "{what}");
+        let bits = |c: &Csr| -> Vec<u32> {
+            (0..c.n_rows())
+                .flat_map(|r| c.row_values(r).iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(got), bits(want), "{what}: value bits");
+    }
+
+    /// Counts that reach every path of `reference_rows` against a pool
+    /// of 100 heads and 200 tails: count 0, the rejection path of
+    /// `index_sample` (`(count + 1) * 3 < len`), its Fisher–Yates path,
+    /// and a pool no larger than the count (with and without the
+    /// excluded user in it).
+    const COUNTS: [usize; 7] = [0, 1, 5, 40, 99, 100, 250];
+
+    fn mixed_partition(seed: u64) -> HeadTailPartition {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut degrees: Vec<usize> = (0..300).map(|u| if u % 3 == 0 { 9 } else { 2 }).collect();
+        nm_tensor::rng::seq::SliceRandom::shuffle(&mut degrees[..], &mut rng);
+        HeadTailPartition::new(&degrees, 5)
+    }
+
+    #[test]
+    fn direct_intra_build_matches_from_edges() {
+        for seed in 0..4u64 {
+            let p = mixed_partition(seed);
+            assert_eq!(p.head_users().len(), 100);
+            for &count in &COUNTS {
+                let g = build_intra(&p, count, seed);
+                let (head, tail) = reference_intra(&p, count, seed);
+                let what = format!("seed {seed}, count {count}");
+                assert_same_bits(&g.head_bridge, &head, &format!("head, {what}"));
+                assert_same_bits(&g.tail_bridge, &tail, &format!("tail, {what}"));
+            }
+        }
+        // every user a tail user: an empty head pool
+        let p = HeadTailPartition::new(&[1; 40], 5);
+        for &count in &COUNTS {
+            let g = build_intra(&p, count, 3);
+            let (head, tail) = reference_intra(&p, count, 3);
+            assert_eq!(g.head_bridge.nnz(), 0);
+            assert_same_bits(&g.head_bridge, &head, "empty head pool");
+            assert_same_bits(&g.tail_bridge, &tail, "all-tail pool");
+        }
+    }
+
+    #[test]
+    fn direct_inter_build_matches_from_edges() {
+        let pool: Vec<u32> = (0..300).filter(|u| u % 3 != 1).collect();
+        for seed in 0..4u64 {
+            for &count in &COUNTS {
+                let overlap = vec![None; 50];
+                let g = build_inter(50, 300, &overlap, &pool, count, seed);
+                let want = reference_inter(50, 300, &pool, count, seed);
+                assert_same_bits(
+                    &g.other_bridge,
+                    &want,
+                    &format!("seed {seed}, count {count}"),
+                );
+            }
+        }
+        let g = build_inter(5, 8, &[None; 5], &[], 4, 1);
+        assert_same_bits(
+            &g.other_bridge,
+            &reference_inter(5, 8, &[], 4, 1),
+            "empty pool",
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn inter_rejects_a_repeated_pool_id() {
+        build_inter(2, 5, &[None, None], &[1, 3, 3], 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn inter_rejects_a_pool_id_outside_the_foreign_domain() {
+        build_inter(2, 5, &[None, None], &[1, 5], 2, 0);
     }
 
     #[test]

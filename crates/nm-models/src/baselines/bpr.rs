@@ -7,9 +7,10 @@ use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_data::batch::Batch;
 use nm_nn::{Embedding, Module, Param};
-use nm_serve::HeadKind;
+use nm_serve::{DomainSnapshot, FrozenModel, HeadKind, Snapshot};
 use nm_tensor::rng::{Rng, SeedableRng, StdRng};
 use nm_tensor::TensorRng;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Per-domain MF + BPR pairwise loss.
@@ -19,6 +20,9 @@ pub struct BprModel {
     item_a: Embedding,
     user_b: Embedding,
     item_b: Embedding,
+    /// The embedding tables `eval_scores` scores through, which is
+    /// also the snapshot `export_frozen` publishes.
+    frozen: RefCell<Option<Snapshot>>,
 }
 
 impl BprModel {
@@ -29,6 +33,7 @@ impl BprModel {
             item_a: Embedding::new("bpr.ia", task.split_a.n_items, dim, 0.1, &mut rng),
             user_b: Embedding::new("bpr.ub", task.split_b.n_users, dim, 0.1, &mut rng),
             item_b: Embedding::new("bpr.ib", task.split_b.n_items, dim, 0.1, &mut rng),
+            frozen: RefCell::new(None),
             task,
         }
     }
@@ -37,6 +42,22 @@ impl BprModel {
         match domain {
             Domain::A => (&self.user_a, &self.item_a),
             Domain::B => (&self.user_b, &self.item_b),
+        }
+    }
+
+    /// Dot-head snapshot over the raw embedding tables.
+    fn freeze(&self) -> Snapshot {
+        let mk = |d: Domain| {
+            let (ue, ie) = self.tables(d);
+            DomainSnapshot {
+                users: ue.table_value(),
+                items: ie.table_value(),
+                head: HeadKind::Dot,
+            }
+        };
+        Snapshot {
+            model: "BPR".into(),
+            domains: [mk(Domain::A), mk(Domain::B)],
         }
     }
 
@@ -103,28 +124,24 @@ impl CdrModel for BprModel {
         tape.rowwise_dot(u, v)
     }
 
+    fn prepare_eval(&mut self) {
+        *self.frozen.get_mut() = Some(self.freeze());
+    }
+
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let (ue, ie) = self.tables(domain);
-        HeadKind::Dot.score_pairs(&ue.table_value(), &ie.table_value(), users, items)
+        let mut frozen = self.frozen.borrow_mut();
+        let snap = frozen.get_or_insert_with(|| self.freeze());
+        snap.score_pairs(domain.index(), users, items)
     }
 }
 
-impl nm_serve::FrozenModel for BprModel {
-    /// Dot-head snapshot over the raw embedding tables — the exact
-    /// tables `eval_scores` reads, so serving is bit-for-bit identical.
-    fn export_frozen(&mut self) -> nm_serve::Snapshot {
-        let mk = |d: Domain| {
-            let (ue, ie) = self.tables(d);
-            nm_serve::DomainSnapshot {
-                users: ue.table_value(),
-                items: ie.table_value(),
-                head: HeadKind::Dot,
-            }
-        };
-        nm_serve::Snapshot {
-            model: "BPR".into(),
-            domains: [mk(Domain::A), mk(Domain::B)],
-        }
+impl FrozenModel for BprModel {
+    /// Freezes afresh and publishes the snapshot `eval_scores` then
+    /// scores through, so serving is bit-for-bit identical.
+    fn export_frozen(&mut self) -> Snapshot {
+        let snap = self.freeze();
+        *self.frozen.get_mut() = Some(snap.clone());
+        snap
     }
 }
 
@@ -192,5 +209,26 @@ mod tests {
         // BPR is the weakest baseline in the paper too; above-chance is
         // the meaningful bar at this scale.
         assert!(stats.final_a.auc > 0.52, "AUC {}", stats.final_a.auc);
+    }
+
+    #[test]
+    fn eval_matches_training_forward_after_training() {
+        let mut m = BprModel::new(task(), 8, 4);
+        let users = [0u32, 5, 9];
+        let items = [1u32, 2, 3];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let forward = |m: &BprModel| {
+            let mut tape = Tape::new();
+            let l = m.forward_logits(&mut tape, Domain::B, &users, &items);
+            bits(tape.value(l).data())
+        };
+        assert_eq!(forward(&m), bits(&m.eval_scores(Domain::B, &users, &items)));
+        // training moves the tables; its evaluations refreeze them
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..Default::default()
+        };
+        train_joint(&mut m, &cfg).expect("training");
+        assert_eq!(forward(&m), bits(&m.eval_scores(Domain::B, &users, &items)));
     }
 }

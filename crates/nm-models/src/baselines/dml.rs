@@ -12,7 +12,7 @@ use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_data::batch::Batch;
 use nm_nn::{Embedding, Module, Param};
-use nm_serve::HeadKind;
+use nm_serve::{DomainSnapshot, HeadKind, Snapshot};
 use nm_tensor::{Tensor, TensorRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -33,7 +33,9 @@ pub struct DmlModel {
     /// Known overlapped pairs as parallel index vectors.
     ov_a: Rc<Vec<u32>>,
     ov_b: Rc<Vec<u32>>,
-    cache: RefCell<Option<(Tensor, Tensor)>>,
+    /// The enhanced user tables and item tables `eval_scores` scores
+    /// through.
+    frozen: RefCell<Option<Snapshot>>,
 }
 
 impl DmlModel {
@@ -55,7 +57,7 @@ impl DmlModel {
             ortho_weight: 0.1,
             ov_a: Rc::new(ov_a),
             ov_b: Rc::new(ov_b),
-            cache: RefCell::new(None),
+            frozen: RefCell::new(None),
             task,
         }
     }
@@ -120,6 +122,22 @@ impl DmlModel {
             .map(|(j, &r)| (r, j as u32, 1.0))
             .collect();
         nm_graph::Csr::from_edges(n, rows.len(), &edges)
+    }
+
+    /// Freezes the enhanced user tables and the item tables behind a dot
+    /// head.
+    fn freeze(&self) -> Snapshot {
+        let mut tape = Tape::new();
+        let (ea, eb) = self.enhanced_tables(&mut tape);
+        let mk = |users: Var, items: &Embedding| DomainSnapshot {
+            users: tape.value(users).clone(),
+            items: items.table_value(),
+            head: HeadKind::Dot,
+        };
+        Snapshot {
+            model: "DML".into(),
+            domains: [mk(ea, &self.item_a), mk(eb, &self.item_b)],
+        }
     }
 }
 
@@ -192,19 +210,13 @@ impl CdrModel for DmlModel {
     }
 
     fn prepare_eval(&mut self) {
-        let mut tape = Tape::new();
-        let (ea, eb) = self.enhanced_tables(&mut tape);
-        *self.cache.borrow_mut() = Some((tape.value(ea).clone(), tape.value(eb).clone()));
+        *self.frozen.get_mut() = Some(self.freeze());
     }
 
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let cache = self.cache.borrow();
-        let (ea, eb) = cache.as_ref().expect("prepare_eval not called");
-        let (ue, ie) = match domain {
-            Domain::A => (ea, &self.item_a),
-            Domain::B => (eb, &self.item_b),
-        };
-        HeadKind::Dot.score_pairs(ue, &ie.table_value(), users, items)
+        let mut frozen = self.frozen.borrow_mut();
+        let snap = frozen.get_or_insert_with(|| self.freeze());
+        snap.score_pairs(domain.index(), users, items)
     }
 }
 
@@ -282,5 +294,26 @@ mod tests {
         )
         .expect("training");
         assert!(stats.final_a.auc > 0.52, "AUC {}", stats.final_a.auc);
+    }
+
+    #[test]
+    fn eval_matches_training_forward_after_training() {
+        let mut m = DmlModel::new(task(0.9), 8, 5);
+        let users = [0u32, 5, 9];
+        let items = [1u32, 2, 3];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let forward = |m: &DmlModel| {
+            let mut tape = Tape::new();
+            let l = m.forward_logits(&mut tape, Domain::B, &users, &items);
+            bits(tape.value(l).data())
+        };
+        assert_eq!(forward(&m), bits(&m.eval_scores(Domain::B, &users, &items)));
+        // training moves the tables; its evaluations refreeze them
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..Default::default()
+        };
+        train_joint(&mut m, &cfg).expect("training");
+        assert_eq!(forward(&m), bits(&m.eval_scores(Domain::B, &users, &items)));
     }
 }

@@ -5,8 +5,9 @@
 use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_nn::{Activation, Embedding, Mlp, Module, Param};
-use nm_serve::{HeadKind, MlpHead};
+use nm_serve::{DomainSnapshot, HeadKind, MlpHead, Snapshot};
 use nm_tensor::TensorRng;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 struct DomainTower {
@@ -20,6 +21,8 @@ pub struct LrModel {
     task: Rc<CdrTask>,
     a: DomainTower,
     b: DomainTower,
+    /// The embedding tables and heads `eval_scores` scores through.
+    frozen: RefCell<Option<Snapshot>>,
 }
 
 impl LrModel {
@@ -37,13 +40,30 @@ impl LrModel {
         };
         let a = tower("a", task.split_a.n_users, task.split_a.n_items, &mut rng);
         let b = tower("b", task.split_b.n_users, task.split_b.n_items, &mut rng);
-        Self { task, a, b }
+        Self {
+            task,
+            a,
+            b,
+            frozen: RefCell::new(None),
+        }
     }
 
     fn tower(&self, domain: Domain) -> &DomainTower {
         match domain {
             Domain::A => &self.a,
             Domain::B => &self.b,
+        }
+    }
+
+    fn freeze(&self) -> Snapshot {
+        let mk = |t: &DomainTower| DomainSnapshot {
+            users: t.users.table_value(),
+            items: t.items.table_value(),
+            head: HeadKind::Mlp(MlpHead::from_mlp(&t.head)),
+        };
+        Snapshot {
+            model: "LR".into(),
+            domains: [mk(&self.a), mk(&self.b)],
         }
     }
 }
@@ -77,14 +97,14 @@ impl CdrModel for LrModel {
         t.head.forward(tape, x)
     }
 
+    fn prepare_eval(&mut self) {
+        *self.frozen.get_mut() = Some(self.freeze());
+    }
+
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let t = self.tower(domain);
-        HeadKind::Mlp(MlpHead::from_mlp(&t.head)).score_pairs(
-            &t.users.table_value(),
-            &t.items.table_value(),
-            users,
-            items,
-        )
+        let mut frozen = self.frozen.borrow_mut();
+        let snap = frozen.get_or_insert_with(|| self.freeze());
+        snap.score_pairs(domain.index(), users, items)
     }
 }
 

@@ -15,7 +15,7 @@ use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_data::batch::Batch;
 use nm_nn::{Activation, Embedding, Mlp, Module, Param};
-use nm_serve::HeadKind;
+use nm_serve::{DomainSnapshot, HeadKind, Snapshot};
 use nm_tensor::{Tensor, TensorRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -35,7 +35,9 @@ pub struct PtupcdrModel {
     /// Overlapped pairs.
     ov_a: Rc<Vec<u32>>,
     ov_b: Rc<Vec<u32>>,
-    cache: RefCell<Option<(Tensor, Tensor)>>,
+    /// The evaluation user tables and item tables `eval_scores` scores
+    /// through.
+    frozen: RefCell<Option<Snapshot>>,
 }
 
 impl PtupcdrModel {
@@ -63,7 +65,7 @@ impl PtupcdrModel {
             transfer_weight: 1.0,
             ov_a: Rc::new(ov_a),
             ov_b: Rc::new(ov_b),
-            cache: RefCell::new(None),
+            frozen: RefCell::new(None),
             task,
         }
     }
@@ -187,6 +189,23 @@ impl PtupcdrModel {
         let placed = tape.spmm(scat, scat_t, avg);
         tape.add(kept, placed)
     }
+
+    /// Freezes the transfer-averaged user tables and the item tables
+    /// behind a dot head.
+    fn freeze(&self) -> Snapshot {
+        let mut tape = Tape::new();
+        let ta = self.eval_table(&mut tape, Domain::A);
+        let tb = self.eval_table(&mut tape, Domain::B);
+        let mk = |users: Var, items: &Embedding| DomainSnapshot {
+            users: tape.value(users).clone(),
+            items: items.table_value(),
+            head: HeadKind::Dot,
+        };
+        Snapshot {
+            model: "PTUPCDR".into(),
+            domains: [mk(ta, &self.item_a), mk(tb, &self.item_b)],
+        }
+    }
 }
 
 impl Module for PtupcdrModel {
@@ -236,20 +255,13 @@ impl CdrModel for PtupcdrModel {
     }
 
     fn prepare_eval(&mut self) {
-        let mut tape = Tape::new();
-        let ta = self.eval_table(&mut tape, Domain::A);
-        let tb = self.eval_table(&mut tape, Domain::B);
-        *self.cache.borrow_mut() = Some((tape.value(ta).clone(), tape.value(tb).clone()));
+        *self.frozen.get_mut() = Some(self.freeze());
     }
 
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let cache = self.cache.borrow();
-        let (ta, tb) = cache.as_ref().expect("prepare_eval not called");
-        let (ue, ie) = match domain {
-            Domain::A => (ta, &self.item_a),
-            Domain::B => (tb, &self.item_b),
-        };
-        HeadKind::Dot.score_pairs(ue, &ie.table_value(), users, items)
+        let mut frozen = self.frozen.borrow_mut();
+        let snap = frozen.get_or_insert_with(|| self.freeze());
+        snap.score_pairs(domain.index(), users, items)
     }
 }
 

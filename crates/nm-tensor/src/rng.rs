@@ -222,7 +222,8 @@ pub mod seq {
 
         /// Samples `amount` distinct indices from `0..length`, in random
         /// order. Partial Fisher–Yates for dense requests, rejection
-        /// sampling for sparse ones.
+        /// sampling for sparse ones; the rejection seen-set is a bitset
+        /// over `length` (`length / 8` bytes).
         pub fn sample<R: Rng + ?Sized>(rng: &mut R, length: usize, amount: usize) -> Vec<usize> {
             assert!(
                 amount <= length,
@@ -240,11 +241,13 @@ pub mod seq {
                 idx.truncate(amount);
                 idx
             } else {
-                let mut seen = std::collections::HashSet::with_capacity(amount);
+                let mut seen = vec![0u64; length.div_ceil(64)];
                 let mut out = Vec::with_capacity(amount);
                 while out.len() < amount {
                     let x = rng.gen_range(0..length);
-                    if seen.insert(x) {
+                    let (word, bit) = (x / 64, 1u64 << (x % 64));
+                    if seen[word] & bit == 0 {
+                        seen[word] |= bit;
                         out.push(x);
                     }
                 }
@@ -321,6 +324,67 @@ mod tests {
             let set: std::collections::HashSet<_> = s.iter().collect();
             assert_eq!(set.len(), k, "indices must be distinct");
             assert!(s.iter().all(|&i| i < len));
+        }
+    }
+
+    /// `index::sample` as it was with a `HashSet` seen-set.
+    fn hashset_sample(rng: &mut StdRng, length: usize, amount: usize) -> Vec<usize> {
+        if amount == 0 {
+            return Vec::new();
+        }
+        if amount * 3 >= length {
+            let mut idx: Vec<usize> = (0..length).collect();
+            for i in 0..amount {
+                let j = rng.gen_range(i..length);
+                idx.swap(i, j);
+            }
+            idx.truncate(amount);
+            idx
+        } else {
+            let mut seen = std::collections::HashSet::with_capacity(amount);
+            let mut out = Vec::with_capacity(amount);
+            while out.len() < amount {
+                let x = rng.gen_range(0..length);
+                if seen.insert(x) {
+                    out.push(x);
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn index_sample_matches_hashset_reference() {
+        // Both paths: dense (`amount * 3 >= length`) and rejection, with
+        // lengths on and around word boundaries of the bitset.
+        let grid = [
+            (1, 0),
+            (1, 1),
+            (5, 5),
+            (9, 3),
+            (10, 3),
+            (63, 20),
+            (64, 21),
+            (65, 22),
+            (128, 42),
+            (129, 43),
+            (700, 65),
+            (700, 233),
+            (700, 234),
+            (1000, 2),
+            (4096, 1000),
+        ];
+        for seed in 0..8u64 {
+            for &(length, amount) in &grid {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                assert_eq!(
+                    index::sample(&mut a, length, amount),
+                    hashset_sample(&mut b, length, amount),
+                    "length {length}, amount {amount}, seed {seed}"
+                );
+                assert_eq!(a.next_u32(), b.next_u32(), "streams diverged");
+            }
         }
     }
 

@@ -208,6 +208,7 @@ impl NmcdrModel {
     }
 
     fn build_bridges(task: &CdrTask, cfg: &NmcdrConfig, epoch: usize) -> [DomainBridges; 2] {
+        let _sp = trace::span("stage.resample");
         let seed = cfg.seed ^ ((epoch as u64) << 17);
         let mk = |domain: Domain| -> DomainBridges {
             let (partition, split, foreign_pool, n_foreign) = match domain {
@@ -271,6 +272,10 @@ impl NmcdrModel {
             ComplementCandidates::ObservedOnly { max_observed } => (max_observed, max_observed),
         };
         let sample_missing = matches!(cc, ComplementCandidates::ObservedPlusSampled { .. });
+        // Bitset of the current user's items and candidates: set before
+        // the draws, cleared after, so one buffer serves every user.
+        let mut taken = vec![0u64; n_items.div_ceil(64)];
+        let bit = |i: u32| (i as usize / 64, 1u64 << (i % 64));
         let mut out = Vec::with_capacity(split.n_users * total);
         for items in &by_user {
             let mut cands: Vec<u32> = items.iter().take(max_obs).copied().collect();
@@ -279,14 +284,22 @@ impl NmcdrModel {
                 cands.push(rng.gen_range(0..n_items) as u32);
             }
             if sample_missing {
-                let known: std::collections::HashSet<u32> = items.iter().copied().collect();
+                for &i in items.iter().chain(&cands) {
+                    let (w, b) = bit(i);
+                    taken[w] |= b;
+                }
                 let mut guard = 0;
                 while cands.len() < total && guard < total * 30 {
                     guard += 1;
                     let j = rng.gen_range(0..n_items) as u32;
-                    if !known.contains(&j) && !cands.contains(&j) {
+                    let (w, b) = bit(j);
+                    if taken[w] & b == 0 {
+                        taken[w] |= b;
                         cands.push(j);
                     }
+                }
+                for &i in items.iter().chain(&cands) {
+                    taken[bit(i).0] = 0;
                 }
             }
             // pad cyclically to the fixed width C
@@ -910,5 +923,190 @@ mod tests {
         let changed =
             *b[0].head.0 != before.0 || *b[0].tail.0 != before.1 || *b[0].comp_idx != before.2;
         assert!(changed, "no sampled structure changed across epochs");
+    }
+
+    /// One domain's sampled structures as the edge-list build made them:
+    /// rows drawn into their own `Vec`s and built by `Csr::from_edges`,
+    /// and complement candidates checked against a `HashSet` per user.
+    mod edge_list_build {
+        use super::*;
+        use nm_tensor::rng::seq::index::sample as index_sample;
+
+        fn rows(pool: &[u32], exclude: u32, count: usize, rng: &mut StdRng) -> Vec<u32> {
+            if pool.is_empty() || count == 0 {
+                return Vec::new();
+            }
+            if pool.len() <= count {
+                return pool.iter().copied().filter(|&x| x != exclude).collect();
+            }
+            let want = (count + 1).min(pool.len());
+            let mut picked: Vec<u32> = index_sample(rng, pool.len(), want)
+                .into_iter()
+                .map(|i| pool[i])
+                .filter(|&x| x != exclude)
+                .collect();
+            picked.truncate(count);
+            picked
+        }
+
+        fn bridge(n_rows: usize, n_cols: usize, rows: Vec<Vec<u32>>) -> Csr {
+            let mut edges = Vec::new();
+            for (u, neigh) in rows.into_iter().enumerate() {
+                if neigh.is_empty() {
+                    continue;
+                }
+                let w = 1.0 / neigh.len() as f32;
+                for v in neigh {
+                    edges.push((u as u32, v, w));
+                }
+            }
+            Csr::from_edges(n_rows, n_cols, &edges)
+        }
+
+        pub fn candidates(
+            split: &nm_data::SplitDomain,
+            cc: &ComplementCandidates,
+            seed: u64,
+        ) -> Vec<u32> {
+            let by_user = split.train_by_user();
+            let n_items = split.n_items;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (total, max_obs) = match *cc {
+                ComplementCandidates::ObservedPlusSampled {
+                    total,
+                    max_observed,
+                } => (total, max_observed),
+                ComplementCandidates::ObservedOnly { max_observed } => (max_observed, max_observed),
+            };
+            let sample_missing = matches!(cc, ComplementCandidates::ObservedPlusSampled { .. });
+            let mut out = Vec::with_capacity(split.n_users * total);
+            for items in &by_user {
+                let mut cands: Vec<u32> = items.iter().take(max_obs).copied().collect();
+                if cands.is_empty() {
+                    cands.push(rng.gen_range(0..n_items) as u32);
+                }
+                if sample_missing {
+                    let known: std::collections::HashSet<u32> = items.iter().copied().collect();
+                    let mut guard = 0;
+                    while cands.len() < total && guard < total * 30 {
+                        guard += 1;
+                        let j = rng.gen_range(0..n_items) as u32;
+                        if !known.contains(&j) && !cands.contains(&j) {
+                            cands.push(j);
+                        }
+                    }
+                }
+                let mut k = 0;
+                while cands.len() < total {
+                    cands.push(cands[k % cands.len().max(1)]);
+                    k += 1;
+                }
+                out.extend_from_slice(&cands);
+            }
+            out
+        }
+
+        /// `[head, tail, other]` bridges and the complement list.
+        pub fn domain(
+            task: &CdrTask,
+            cfg: &NmcdrConfig,
+            epoch: usize,
+            domain: Domain,
+        ) -> ([Csr; 3], Vec<u32>) {
+            let seed = cfg.seed ^ ((epoch as u64) << 17);
+            let (partition, split, pool, n_foreign) = match domain {
+                Domain::A => (
+                    &task.partition_a,
+                    &task.split_a,
+                    &task.non_overlap_b,
+                    task.split_b.n_users,
+                ),
+                Domain::B => (
+                    &task.partition_b,
+                    &task.split_b,
+                    &task.non_overlap_a,
+                    task.split_a.n_users,
+                ),
+            };
+            let z = domain.index() as u64;
+            let k = cfg.match_neighbors;
+            let n = partition.n_users();
+            let mut rng = StdRng::seed_from_u64(seed ^ (z + 1));
+            let (mut head, mut tail) = (Vec::new(), Vec::new());
+            for u in 0..n as u32 {
+                head.push(rows(partition.head_users(), u, k, &mut rng));
+                tail.push(rows(partition.tail_users(), u, k, &mut rng));
+            }
+            let mut rng = StdRng::seed_from_u64(seed ^ (z + 11));
+            let other = (0..split.n_users)
+                .map(|_| rows(pool, u32::MAX, k, &mut rng))
+                .collect();
+            (
+                [
+                    bridge(n, n, head),
+                    bridge(n, n, tail),
+                    bridge(split.n_users, n_foreign, other),
+                ],
+                candidates(split, &cfg.complement, seed ^ (z + 21)),
+            )
+        }
+    }
+
+    fn assert_same_csr(got: &Csr, want: &Csr, what: &str) {
+        assert_eq!(got, want, "{what}");
+        let bits = |c: &Csr| -> Vec<u32> {
+            (0..c.n_rows())
+                .flat_map(|r| c.row_values(r).iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(got), bits(want), "{what}: value bits");
+    }
+
+    #[test]
+    fn resampled_structures_match_the_edge_list_build() {
+        let complements = [
+            ComplementCandidates::default(),
+            ComplementCandidates::ObservedOnly { max_observed: 8 },
+        ];
+        for scenario in [Scenario::ClothSport, Scenario::PhoneElec] {
+            let data = generate(&scenario.config(0.004));
+            let task = CdrTask::build(data, TaskConfig::default());
+            // users with no training item take the isolated-user branch
+            let mut isolated = task.split_a.clone();
+            isolated.train.retain(|&(u, _)| u % 7 != 0);
+            for complement in complements {
+                let cfg = NmcdrConfig {
+                    complement,
+                    ..Default::default()
+                };
+                for epoch in 0..4 {
+                    let got = NmcdrModel::build_bridges(&task, &cfg, epoch);
+                    for domain in [Domain::A, Domain::B] {
+                        let what = format!("{scenario:?} {complement:?} epoch {epoch} {domain:?}");
+                        let (want, comp) = edge_list_build::domain(&task, &cfg, epoch, domain);
+                        let b = &got[domain.index()];
+                        for ((name, (bridge, transpose)), want) in
+                            [("head", &b.head), ("tail", &b.tail), ("other", &b.other)]
+                                .into_iter()
+                                .zip(&want)
+                        {
+                            assert_same_csr(bridge, want, &format!("{name} {what}"));
+                            assert_same_csr(
+                                transpose,
+                                &want.transpose(),
+                                &format!("{name}ᵀ {what}"),
+                            );
+                        }
+                        assert_eq!(*b.comp_idx, comp, "complement {what}");
+                    }
+                    let seed = cfg.seed ^ epoch as u64;
+                    assert_eq!(
+                        NmcdrModel::build_complement_candidates(&isolated, &complement, seed),
+                        edge_list_build::candidates(&isolated, &complement, seed),
+                        "isolated users, {scenario:?} {complement:?} epoch {epoch}"
+                    );
+                }
+            }
+        }
     }
 }

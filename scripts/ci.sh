@@ -60,17 +60,22 @@ cargo test --workspace --release -q
 echo "== fault-injection harness (kill/resume/rollback/torn-write) =="
 cargo test --release -q --test fault_tolerance
 
-echo "== traced 1-epoch training + strict trace-schema validation =="
+echo "== traced 2-epoch training + strict trace-schema validation =="
+# Two epochs, because epoch 0's matching bridges are sampled when the
+# model is built, before the tracer starts; epoch 1's resample is what
+# puts stage.resample in the trace.
 TRACE_OUT=target/ci_trace.jsonl
 rm -f "$TRACE_OUT"
 cargo run --release -q -p nm-cli -- train --scenario music-movie \
-  --scale 0.002 --epochs 1 --dim 8 --trace-out "$TRACE_OUT"
+  --scale 0.002 --epochs 2 --dim 8 --trace-out "$TRACE_OUT"
 # validate rejects unknown fields, non-monotonic timestamps, bad seq
 cargo run --release -q -p nm-cli -- obs validate --trace "$TRACE_OUT"
 cargo run --release -q -p nm-cli -- obs report --trace "$TRACE_OUT" \
   > target/ci_trace_profile.txt
-grep -q "train.forward" target/ci_trace_profile.txt \
-  || { echo "trace profile lacks train.forward"; exit 1; }
+for span in train.forward stage.resample; do
+  grep -q "$span" target/ci_trace_profile.txt \
+    || { echo "trace profile lacks $span"; exit 1; }
+done
 
 echo "== flamegraph artifact of the traced CI run =="
 # `obs flame` hard-fails unless the folded self times reproduce the
