@@ -526,19 +526,34 @@ pub fn train_joint_ft_with(
         }
     }
 
-    // Models may carry epoch-dependent internal state (e.g. NMCDR
-    // resamples its matching bridges per epoch). A resume that lands at
-    // or past the final boundary skips the epoch loop, so realign that
-    // state with the last epoch the original run actually executed —
-    // otherwise evaluation would see construction-time state.
-    if let Some(last) = st.logs.last() {
-        model.begin_epoch(last.epoch);
-    }
-    if let Some(buf) = st.best_snapshot.take() {
-        checkpoint::load_params(&model.params(), &mut buf.as_slice())?;
+    // The last epoch's evaluation already scored the final parameters
+    // when it ran in this call, after the last completed epoch, and no
+    // best snapshot is restored over them: report it. The model's
+    // epoch state then still belongs to that epoch too.
+    let reused = st
+        .logs
+        .last()
+        .and_then(|l| l.eval)
+        .filter(|_| done_this_call > 0 && st.best_snapshot.is_none());
+    if reused.is_none() {
+        // Models may carry epoch-dependent internal state (e.g. NMCDR
+        // resamples its matching bridges per epoch). A resume that lands
+        // at or past the final boundary skips the epoch loop, so realign
+        // that state with the last epoch the original run actually
+        // executed — otherwise evaluation would see construction-time
+        // state.
+        if let Some(last) = st.logs.last() {
+            model.begin_epoch(last.epoch);
+        }
+        if let Some(buf) = st.best_snapshot.take() {
+            checkpoint::load_params(&model.params(), &mut buf.as_slice())?;
+        }
     }
     let train_secs = t_start.elapsed_secs();
-    let (final_a, final_b) = evaluate_model(model, cfg.top_k);
+    let (final_a, final_b) = reused.unwrap_or_else(|| {
+        let _sp = trace::span("train.eval");
+        evaluate_model(model, cfg.top_k)
+    });
     let (profile, alloc) = if cfg.profile {
         // Final-eval tapes recorded ops after the last epoch drain;
         // drop them so the table covers exactly the training epochs.
@@ -699,13 +714,15 @@ mod tests {
     use nm_tensor::TensorRng;
     use std::rc::Rc;
 
-    /// Minimal matrix-factorization model to exercise the trainer.
+    /// Minimal matrix-factorization model to exercise the trainer. It
+    /// counts its `prepare_eval` calls: one per evaluation.
     struct TinyMf {
         task: Rc<CdrTask>,
         user_a: Embedding,
         item_a: Embedding,
         user_b: Embedding,
         item_b: Embedding,
+        prepares: usize,
     }
 
     impl TinyMf {
@@ -717,6 +734,7 @@ mod tests {
                 user_b: Embedding::new("ub", task.split_b.n_users, 8, 0.1, &mut rng),
                 item_b: Embedding::new("ib", task.split_b.n_items, 8, 0.1, &mut rng),
                 task,
+                prepares: 0,
             }
         }
     }
@@ -753,6 +771,10 @@ mod tests {
             let u = ue.lookup(tape, Rc::new(users.to_vec()));
             let v = ie.lookup(tape, Rc::new(items.to_vec()));
             tape.rowwise_dot(u, v)
+        }
+
+        fn prepare_eval(&mut self) {
+            self.prepares += 1;
         }
 
         fn eval_scores(&self, domain: crate::Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
@@ -819,8 +841,7 @@ mod tests {
         assert_eq!(s1.logs[1].mean_loss, s2.logs[1].mean_loss);
     }
 
-    #[test]
-    fn early_stopping_restores_best_and_truncates() {
+    fn valid_task() -> Rc<CdrTask> {
         let mut cfg = Scenario::MusicMovie.config(0.002);
         cfg.n_users_a = 120;
         cfg.n_users_b = 130;
@@ -832,7 +853,12 @@ mod tests {
             validation: true,
             ..Default::default()
         };
-        let task = CdrTask::build(generate(&cfg), tc);
+        CdrTask::build(generate(&cfg), tc)
+    }
+
+    #[test]
+    fn early_stopping_restores_best_and_truncates() {
+        let task = valid_task();
         assert!(!task.valid_eval_a.is_empty());
         let mut model = TinyMf::new(task, 11);
         let stats = train_joint(
@@ -969,5 +995,134 @@ mod tests {
         };
         let stats = train_joint(&mut model, &cfg).expect("training");
         assert!(stats.logs.iter().all(|l| l.eval.is_some()));
+    }
+
+    fn summary_bits(s: &RankingSummary) -> [u64; 5] {
+        [
+            s.hr.to_bits(),
+            s.ndcg.to_bits(),
+            s.mrr.to_bits(),
+            s.auc.to_bits(),
+            s.n_users as u64,
+        ]
+    }
+
+    /// Asserts that `stats` reports what evaluating the trained `model`
+    /// afresh gives, as the final evaluation always did, bit for bit.
+    fn assert_final_is_a_fresh_eval(model: &mut TinyMf, stats: &TrainStats, what: &str) {
+        let (a, b) = evaluate_model(model, 10);
+        assert_eq!(summary_bits(&stats.final_a), summary_bits(&a), "{what}: A");
+        assert_eq!(summary_bits(&stats.final_b), summary_bits(&b), "{what}: B");
+    }
+
+    #[test]
+    fn final_eval_reuses_the_last_epoch_eval() {
+        let cfg = TrainConfig {
+            epochs: 3,
+            lr: 1e-2,
+            eval_every: 1,
+            ..Default::default()
+        };
+        let mut model = TinyMf::new(tiny_task(), 7);
+        let stats = train_joint(&mut model, &cfg).expect("training");
+        assert_eq!(model.prepares, 3, "one evaluation per epoch, none after");
+        let (a, b) = stats.logs.last().and_then(|l| l.eval).expect("last eval");
+        assert_eq!(summary_bits(&stats.final_a), summary_bits(&a));
+        assert_eq!(summary_bits(&stats.final_b), summary_bits(&b));
+        assert_final_is_a_fresh_eval(&mut model, &stats, "eval_every 1");
+    }
+
+    #[test]
+    fn final_eval_runs_when_no_epoch_eval_scored_the_final_parameters() {
+        // eval_every 2 over 3 epochs: the last epoch has no evaluation
+        let cfg = TrainConfig {
+            epochs: 3,
+            lr: 1e-2,
+            eval_every: 2,
+            ..Default::default()
+        };
+        let mut model = TinyMf::new(tiny_task(), 7);
+        let stats = train_joint(&mut model, &cfg).expect("training");
+        assert_eq!(model.prepares, 2, "epoch 1's evaluation and the final one");
+        assert!(stats.logs[2].eval.is_none());
+        assert_final_is_a_fresh_eval(&mut model, &stats, "eval_every 2, 3 epochs");
+
+        // early stopping restores its best snapshot over the last epoch's
+        let cfg = TrainConfig {
+            epochs: 30,
+            lr: 5e-2,
+            batch_size: 256,
+            eval_every: 1,
+            early_stop_patience: 2,
+            ..Default::default()
+        };
+        let mut model = TinyMf::new(valid_task(), 11);
+        let stats = train_joint(&mut model, &cfg).expect("training");
+        let epochs = stats.logs.len();
+        assert!(epochs < 30, "early stopping never fired");
+        assert_eq!(
+            model.prepares,
+            2 * epochs + 1,
+            "test + validation per epoch, then final"
+        );
+        assert_final_is_a_fresh_eval(&mut model, &stats, "early stopping");
+
+        // a resume that lands at the final boundary trains no epoch
+        let dir = std::env::temp_dir().join(format!("nm_train_final_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let ft = FtConfig {
+            checkpoint: Some(dir.join("t.nmck")),
+            resume: true,
+            ..FtConfig::default()
+        };
+        let cfg = TrainConfig {
+            epochs: 2,
+            lr: 1e-2,
+            eval_every: 1,
+            ..Default::default()
+        };
+        let mut first = TinyMf::new(tiny_task(), 5);
+        let done = train_joint_ft(&mut first, &cfg, &ft).expect("training");
+        let mut resumed = TinyMf::new(tiny_task(), 5);
+        let stats = train_joint_ft(&mut resumed, &cfg, &ft).expect("resume");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(stats.resumed_from, Some(2));
+        assert_eq!(resumed.prepares, 1, "only the final evaluation");
+        assert_eq!(summary_bits(&stats.final_a), summary_bits(&done.final_a));
+        assert_eq!(summary_bits(&stats.final_b), summary_bits(&done.final_b));
+        assert_final_is_a_fresh_eval(&mut resumed, &stats, "resume at the end");
+    }
+
+    #[test]
+    fn divergence_rollback_on_the_last_epoch_reports_the_retried_epoch() {
+        for eval_every in [1, 0] {
+            let cfg = TrainConfig {
+                epochs: 3,
+                lr: 1e-2,
+                eval_every,
+                ..Default::default()
+            };
+            let mut model = TinyMf::new(tiny_task(), 9);
+            let first_step_of_last_epoch: u64 = (0..cfg.epochs - 1)
+                .map(|e| {
+                    let (a, b) = SplitSource.epoch_batches(&model, &cfg, e);
+                    a.len().max(b.len()) as u64
+                })
+                .sum();
+            let ft = FtConfig {
+                faults: crate::resume::FaultPlan {
+                    nan_at_step: Some(first_step_of_last_epoch),
+                    ..Default::default()
+                },
+                ..FtConfig::default()
+            };
+            let stats = train_joint_ft(&mut model, &cfg, &ft).expect("training");
+            assert_eq!(stats.rollbacks, 1);
+            // the retried epoch's own evaluation scored the final
+            // parameters; without one the final evaluation runs
+            let want = if eval_every == 1 { cfg.epochs } else { 1 };
+            assert_eq!(model.prepares, want, "eval_every {eval_every}");
+            assert_final_is_a_fresh_eval(&mut model, &stats, "rollback on the last epoch");
+        }
     }
 }

@@ -207,10 +207,16 @@ pub fn read_tensor<R: Read>(r: &mut R) -> Result<Tensor, CheckpointError> {
         )));
     }
     let mut data = vec![0f32; rows * cols];
-    let mut buf = [0u8; 4];
-    for x in &mut data {
-        read_exact_or_format(r, &mut buf)?;
-        *x = f32::from_le_bytes(buf);
+    // One read call per block of values, not per value: the per-value
+    // loop ran twice as slowly in one build as in another of nearly the
+    // same code, depending only on where the linker placed it.
+    let mut buf = [0u8; 4096];
+    for block in data.chunks_mut(buf.len() / 4) {
+        let bytes = &mut buf[..4 * block.len()];
+        read_exact_or_format(r, bytes)?;
+        for (x, b) in block.iter_mut().zip(bytes.chunks_exact(4)) {
+            *x = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
     }
     Tensor::from_vec(rows, cols, data).map_err(|e| CheckpointError::Format(e.to_string()))
 }

@@ -26,16 +26,22 @@
 //! offline eval, the engine's shards and the wire `score` request all
 //! call it, so offline/online parity holds by construction. The dot
 //! head is one sequential `Iterator::sum` dot per pair. The MLP head
-//! gathers the `n x (du + di)` rows `[u ‖ v]` once, then runs each layer
-//! as [`Tensor::matmul`] (the training kernel), the bias added as
-//! `acc + b`, and the hidden activation: the ops and operand order of
+//! scores each run of equal consecutive user ids together, and
+//! [`Snapshot::score_user_range`] scores its item range as one run.
+//! Layer 1 is two products through [`nm_tensor::matmul_from`], the
+//! training kernel: the user's prefix `P = u · W1[..du]`, once per run,
+//! then the run's item rows, read in place by id, each output starting
+//! at `P`. Those are the additions, in the same order, of one product
+//! over the concatenated row `[u ‖ v]`, which is never built. The bias
+//! is added as `acc + b`, then the activation, and the other layers run
+//! as [`Tensor::matmul`]: the ops and operand order of
 //! `nm_nn::Mlp::forward` on the training tape, so the bits are the same.
 //! A dot head's shard uses [`nm_tensor::vecmat_nt_blocked`], the same
 //! sequential dot.
 
 use nm_nn::checkpoint::{read_tensor, read_u32, write_tensor, write_u32, CheckpointError};
 use nm_nn::Activation;
-use nm_tensor::{sigmoid_scalar, vecmat_nt_blocked, Tensor};
+use nm_tensor::{matmul_from, sigmoid_scalar, vecmat_nt_blocked, Tensor};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -142,35 +148,72 @@ impl HeadKind {
                     .collect()
             }
             HeadKind::Mlp(h) => {
-                let du = user_tbl.cols();
-                let mut x = Tensor::zeros(users.len(), du + item_tbl.cols());
-                for (j, (&u, &i)) in users.iter().zip(items).enumerate() {
-                    let row = x.row_slice_mut(j);
-                    row[..du].copy_from_slice(user_tbl.row_slice(u as usize));
-                    row[du..].copy_from_slice(item_tbl.row_slice(i as usize));
+                let (di, data) = (item_tbl.cols(), item_tbl.data());
+                let mut scores = vec![0.0; users.len()];
+                let mut at = 0;
+                for run in users.chunk_by(|a, b| a == b) {
+                    let ids = &items[at..at + run.len()];
+                    let user = user_tbl.row_slice(run[0] as usize);
+                    let item = |i: usize, kk: usize| data[ids[i] as usize * di + kk];
+                    h.score_user(user, di, item, &mut scores[at..at + run.len()]);
+                    at += run.len();
                 }
-                for (l, (w, b)) in h.layers.iter().enumerate() {
-                    x = x.matmul(w);
-                    if let Some(b) = b {
-                        for r in 0..x.rows() {
-                            // `acc + b`, the tape's broadcast add: the
-                            // operand order decides which NaN survives
-                            for (acc, &bv) in x.row_slice_mut(r).iter_mut().zip(b.data()) {
-                                *acc += bv;
-                            }
-                        }
-                    }
-                    if l + 1 < h.layers.len() {
-                        apply_act(h.hidden_act, x.data_mut());
-                    }
-                }
-                x.into_vec()
+                scores
+            }
+        }
+    }
+}
+
+/// `acc + b` on every row of `x`, the tape's broadcast add: the operand
+/// order decides which NaN survives.
+fn add_bias(x: &mut Tensor, b: Option<&Tensor>) {
+    if let Some(b) = b {
+        for r in 0..x.rows() {
+            for (acc, &bv) in x.row_slice_mut(r).iter_mut().zip(b.data()) {
+                *acc += bv;
             }
         }
     }
 }
 
 impl MlpHead {
+    /// Eq. 20 for the row `user` against `out.len()` items of width
+    /// `di`, element `kk` of item `i` read as `item(i, kk)`. Layer 1 is
+    /// two products (see the module docs): the user's prefix, then the
+    /// items continuing from it.
+    ///
+    /// # Panics
+    /// If the head has no layer, or layer 1 does not take `[u ‖ v]`.
+    fn score_user(
+        &self,
+        user: &[f32],
+        di: usize,
+        item: impl Fn(usize, usize) -> f32,
+        out: &mut [f32],
+    ) {
+        let du = user.len();
+        let (w1, b1) = &self.layers[0];
+        assert_eq!(
+            w1.rows(),
+            du + di,
+            "MLP head: layer 1 takes {} inputs, [u ‖ v] is {du} + {di}",
+            w1.rows()
+        );
+        let h = w1.cols();
+        let (wu, wi) = w1.data().split_at(du * h);
+        let mut prefix = vec![0.0; h];
+        matmul_from(&vec![0.0; h], |_, kk| user[kk], wu, &mut prefix);
+        let mut x = Tensor::zeros(out.len(), h);
+        matmul_from(&prefix, item, wi, x.data_mut());
+        add_bias(&mut x, b1.as_ref());
+        for (w, b) in &self.layers[1..] {
+            apply_act(self.hidden_act, x.data_mut());
+            x = x.matmul(w);
+            add_bias(&mut x, b.as_ref());
+        }
+        out.copy_from_slice(x.data());
+    }
+
     /// Freezes a trained [`nm_nn::Mlp`] into plain tensors.
     pub fn from_mlp(mlp: &nm_nn::Mlp) -> MlpHead {
         MlpHead {
@@ -268,10 +311,13 @@ impl Snapshot {
                 let rows = &d.items.data()[lo * k..hi * k];
                 vecmat_nt_blocked(d.users.row_slice(user as usize), rows, hi - lo, k, None)
             }
-            HeadKind::Mlp(_) => {
-                let items: Vec<u32> = (lo as u32..hi as u32).collect();
-                d.head
-                    .score_pairs(&d.users, &d.items, &vec![user; items.len()], &items)
+            HeadKind::Mlp(h) => {
+                // the range is one run, its item rows read in place
+                let k = d.items.cols();
+                let rows = &d.items.data()[lo * k..hi * k];
+                let item = |i: usize, kk: usize| rows[i * k + kk];
+                h.score_user(d.users.row_slice(user as usize), k, item, out);
+                return;
             }
         };
         out.copy_from_slice(&scores);
@@ -606,6 +652,136 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "{name}, user {user} by range");
             }
         }
+    }
+
+    /// The MLP head as it scored before its first layer was split: the
+    /// `[u ‖ v]` rows gathered per pair, then every layer as
+    /// [`Tensor::matmul`], `acc + b` and the activation.
+    fn gathered_scores(h: &MlpHead, tables: &(Tensor, Tensor), pairs: &[(u32, u32)]) -> Vec<f32> {
+        let (users, items) = tables;
+        let du = users.cols();
+        let mut x = Tensor::zeros(pairs.len(), du + items.cols());
+        for (j, &(u, i)) in pairs.iter().enumerate() {
+            let row = x.row_slice_mut(j);
+            row[..du].copy_from_slice(users.row_slice(u as usize));
+            row[du..].copy_from_slice(items.row_slice(i as usize));
+        }
+        for (l, (w, b)) in h.layers.iter().enumerate() {
+            x = x.matmul(w);
+            add_bias(&mut x, b.as_ref());
+            if l + 1 < h.layers.len() {
+                apply_act(h.hidden_act, x.data_mut());
+            }
+        }
+        x.into_vec()
+    }
+
+    /// Seeded `40 x 6` user and `50 x 6` item tables.
+    fn run_tables() -> (Tensor, Tensor) {
+        let mut rng = TensorRng::seed_from(31);
+        (
+            Tensor::randn(40, 6, 1.0, &mut rng),
+            Tensor::randn(50, 6, 1.0, &mut rng),
+        )
+    }
+
+    /// Scores `pairs` through every head shape of the runs tests and
+    /// checks each against [`gathered_scores`] bit for bit; returns the
+    /// scores of the last head.
+    fn assert_runs_match_gather(
+        tables: &(Tensor, Tensor),
+        pairs: &[(u32, u32)],
+        what: &str,
+    ) -> Vec<f32> {
+        let mut rng = TensorRng::seed_from(32);
+        let mut got = Vec::new();
+        for (dims, act) in [
+            (&[12, 5, 1][..], Activation::Relu),
+            (&[12, 4, 3, 1][..], Activation::Tanh),
+        ] {
+            let mlp = nm_nn::Mlp::new("head", dims, act, &mut rng);
+            for i in 0..mlp.n_layers() {
+                if let Some(b) = mlp.layer(i).bias() {
+                    b.set_value(Tensor::randn(1, b.shape().1, 0.5, &mut rng));
+                }
+            }
+            let h = MlpHead::from_mlp(&mlp);
+            let (users, items): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
+            got = HeadKind::Mlp(h.clone()).score_pairs(&tables.0, &tables.1, &users, &items);
+            let want = gathered_scores(&h, tables, pairs);
+            assert_eq!(bits(&got), bits(&want), "{what}, {act:?} head");
+        }
+        got
+    }
+
+    #[test]
+    fn hundred_candidate_lists_score_as_the_gather_path() {
+        let mut rng = TensorRng::seed_from(33);
+        let pairs: Vec<(u32, u32)> = (0..40)
+            .flat_map(|u| (0..100).map(move |_| u))
+            .map(|u| (u, rng.index(50) as u32))
+            .collect();
+        assert_runs_match_gather(&run_tables(), &pairs, "40 users x 100 candidates");
+    }
+
+    #[test]
+    fn alternating_runs_score_as_the_gather_path() {
+        // runs u,u,v,v,u: a user's later run starts its own prefix
+        let mut rng = TensorRng::seed_from(34);
+        let pairs: Vec<(u32, u32)> = (0..20)
+            .flat_map(|u| [u, u, u + 20, u + 20, u])
+            .map(|u| (u, rng.index(50) as u32))
+            .collect();
+        assert_runs_match_gather(&run_tables(), &pairs, "runs u,u,v,v,u");
+    }
+
+    #[test]
+    fn runs_of_one_score_as_the_gather_path() {
+        let mut rng = TensorRng::seed_from(35);
+        let pairs: Vec<(u32, u32)> = (0..200)
+            .map(|j| ((j * 7 % 40) as u32, rng.index(50) as u32))
+            .collect();
+        assert_runs_match_gather(&run_tables(), &pairs, "runs of one");
+    }
+
+    #[test]
+    fn non_finite_items_stay_in_their_run() {
+        // items 0 and 1 carry a NaN and an inf; only user 5's run scores
+        // them, so only its scores may be non-finite
+        let mut tables = run_tables();
+        tables.1.set(0, 2, f32::NAN);
+        tables.1.set(1, 4, f32::INFINITY);
+        let mut rng = TensorRng::seed_from(36);
+        let pairs: Vec<(u32, u32)> = (0..40)
+            .flat_map(|u| (0..10).map(move |j| (u, j)))
+            .map(|(u, j)| match (u, j) {
+                (5, 0 | 1) => (u, j),
+                _ => (u, 2 + rng.index(48) as u32),
+            })
+            .collect();
+        let got = assert_runs_match_gather(&tables, &pairs, "non-finite items");
+        for (&(u, _), s) in pairs.iter().zip(&got) {
+            assert!(u == 5 || s.is_finite(), "user {u} scored {s}");
+        }
+        assert!(got[50..60].iter().any(|s| !s.is_finite()));
+    }
+
+    #[test]
+    fn a_non_finite_user_prefix_stays_in_its_run() {
+        // users 3 and 9 carry a NaN and an inf, so their prefixes do
+        let mut tables = run_tables();
+        tables.0.set(3, 1, f32::NAN);
+        tables.0.set(9, 5, f32::NEG_INFINITY);
+        let mut rng = TensorRng::seed_from(37);
+        let pairs: Vec<(u32, u32)> = (0..40)
+            .flat_map(|u| (0..10).map(move |_| u))
+            .map(|u| (u, rng.index(50) as u32))
+            .collect();
+        let got = assert_runs_match_gather(&tables, &pairs, "non-finite user prefix");
+        for (&(u, _), s) in pairs.iter().zip(&got) {
+            assert!(u == 3 || u == 9 || s.is_finite(), "user {u} scored {s}");
+        }
+        assert!(got[30..40].iter().all(|s| s.is_nan()));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!
 //! # Register tiles
 //!
-//! The three products share one kernel, [`Gemm`]. It keeps an `M x W`
+//! The three products and [`matmul_from`] share one kernel, [`Gemm`].
+//! It keeps an `M x W`
 //! block of outputs in a local array that LLVM holds in registers,
 //! streams `k` through it, and writes the block once. Both x86-64 paths
 //! have 16 vector registers, and [`lanes::dispatch`] picks the tile
@@ -40,34 +41,104 @@
 //!
 //! # Zero skip without a branch
 //!
-//! The reference loops of `matmul` and `matmul_tn` skip a left element
-//! equal to `0.0`. The tile has no such branch: ReLU outputs are about
-//! half zeros, so it would mispredict. An accumulator starts at `+0.0`,
+//! The reference loop of `matmul`, `matmul_tn` and `matmul_from` skips
+//! a left element equal to `0.0`. The tile has no such branch: ReLU
+//! outputs are about half zeros, so it would mispredict. An accumulator
+//! starts at `+0.0`,
 //! and round-to-nearest yields `-0.0` from an add only when both
 //! addends are `-0.0`, so the accumulator is never `-0.0`; adding
 //! `0 * b`, which is `±0.0` for finite `b`, leaves it unchanged. A
 //! skipped product can only matter when `b` is infinite or NaN, and
 //! then `0 * b` is NaN and so is the tile's sum. A tile result without
 //! a NaN is therefore exact as it stands. When any output is NaN, the
-//! reference loop recomputes the product. That also keeps which NaN
-//! comes out identical, which IEEE 754 leaves open when two NaNs meet
-//! in an add.
+//! reference loop recomputes the product over the same accessors. That
+//! also keeps which NaN comes out identical, which IEEE 754 leaves open
+//! when two NaNs meet in an add.
+//!
+//! # Start accessor
+//!
+//! [`Gemm`] reads where each sum starts through an accessor, [`Start`],
+//! as it reads the left operand through `lhs(i, kk)`. The three
+//! products pass their constant `±0.0`, which folds away, so their
+//! tiles compile as before. [`matmul_from`] starts every output row at
+//! a `1 x c` row of its caller's and reads the left operand through its
+//! caller's `lhs`. The MLP head runs its first layer as two such
+//! products: the user's prefix `u · W1[..du]` from a row of `+0.0`,
+//! once per user, then the items' terms starting from that prefix.
+//! Those are the additions, in the same order, of one product over the
+//! concatenated rows `[u ‖ v]`, so the bits are the same. A prefix is
+//! never `-0.0`, because it is itself a sum from `+0.0` (see above); so
+//! the zero skip holds for the product that starts from it, as it does
+//! from `+0.0`. The row start reads each tile's `W` values as one
+//! slice: a bounds check per value keeps the accumulators out of
+//! registers, and the tile runs several times slower.
 
 use crate::lanes::{self, Lanes};
 use crate::Tensor;
 
-/// The shared kernel: `out = init + lhs * rhs`, where `lhs(i, kk)` reads
-/// element `(i, kk)` of the `rows x k` left operand and `rhs` is a
-/// row-major `k x c` matrix. No zero skip.
-struct Gemm<'a, F> {
+/// Where a [`Gemm`]'s sums start: one constant for every output, or a
+/// `1 x c` row that every output row starts from.
+trait Start: Copy {
+    /// The starts of output columns `j..j + W`.
+    fn at<const W: usize>(self, j: usize) -> [f32; W];
+}
+
+impl Start for f32 {
+    #[inline(always)]
+    fn at<const W: usize>(self, _: usize) -> [f32; W] {
+        [self; W]
+    }
+}
+
+impl Start for &[f32] {
+    #[inline(always)]
+    fn at<const W: usize>(self, j: usize) -> [f32; W] {
+        let s = &self[j..j + W];
+        std::array::from_fn(|w| s[w])
+    }
+}
+
+/// The shared kernel: `out = start + lhs * rhs`, where `start` is where
+/// the sums start, `lhs(i, kk)` reads element `(i, kk)` of the
+/// `rows x k` left operand and `rhs` is a row-major `k x c` matrix. No
+/// zero skip.
+struct Gemm<'a, S, F> {
+    start: S,
     lhs: F,
     rows: usize,
     rhs: &'a [f32],
     c: usize,
-    init: f32,
 }
 
-impl<F: Fn(usize, usize) -> f32> Gemm<'_, F> {
+impl<S: Start, F: Fn(usize, usize) -> f32> Gemm<'_, S, F> {
+    /// Fills `out` through [`Gemm::run`] and, when an output is NaN,
+    /// again through [`Gemm::reference`].
+    fn product<const BASE: bool>(&self, out: &mut [f32]) {
+        if self.run::<BASE>(out) {
+            self.reference(out);
+        }
+    }
+
+    /// The reference loop over the same accessors: output `(i, j)`
+    /// starts at column `j`'s start and adds `lhs(i, kk) * rhs[kk][j]`
+    /// over `kk` ascending, skipping a left element equal to `0.0`.
+    fn reference(&self, out: &mut [f32]) {
+        for (i, orow) in out.chunks_exact_mut(self.c).enumerate() {
+            for (j, o) in orow.iter_mut().enumerate() {
+                *o = self.start.at::<1>(j)[0];
+            }
+            for (kk, brow) in self.rhs.chunks_exact(self.c).enumerate() {
+                let av = (self.lhs)(i, kk);
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
     /// Fills the row-major `rows x c` output `out`; returns whether any
     /// output is NaN. Runs the tiles of the widest path this CPU has or,
     /// with `BASE`, which only the tests set, the baseline's on any CPU.
@@ -127,7 +198,7 @@ impl<F: Fn(usize, usize) -> f32> Gemm<'_, F> {
     /// The `M x W` output block at `(i, j)`, accumulated in registers.
     #[inline(always)]
     fn tile<const M: usize, const W: usize>(&self, i: usize, j: usize, out: &mut [f32]) -> bool {
-        let mut acc = [[self.init; W]; M];
+        let mut acc = [self.start.at::<W>(j); M];
         for (kk, brow) in self.rhs.chunks_exact(self.c).enumerate() {
             let b = &brow[j..j + W];
             for (m, row) in acc.iter_mut().enumerate() {
@@ -144,44 +215,6 @@ impl<F: Fn(usize, usize) -> f32> Gemm<'_, F> {
             nan = row.iter().fold(nan, |n, v| n | v.is_nan());
         }
         nan
-    }
-}
-
-/// Reference `matmul` for an `a` of `r x k`: the `ikj` loop with the
-/// zero skip.
-fn matmul_reference(a: &[f32], b: &[f32], (r, k, c): (usize, usize, usize), o: &mut [f32]) {
-    o.fill(0.0);
-    for i in 0..r {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut o[i * c..(i + 1) * c];
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[kk * c..(kk + 1) * c];
-            for (ov, &bv) in orow.iter_mut().zip(brow) {
-                *ov += av * bv;
-            }
-        }
-    }
-}
-
-/// Reference `matmul_tn` for an `a` of `k x r`: the `kij` loop with the
-/// zero skip.
-fn matmul_tn_reference(a: &[f32], b: &[f32], (r, k, c): (usize, usize, usize), o: &mut [f32]) {
-    o.fill(0.0);
-    for kk in 0..k {
-        let arow = &a[kk * r..(kk + 1) * r];
-        let brow = &b[kk * c..(kk + 1) * c];
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let orow = &mut o[i * c..(i + 1) * c];
-            for (ov, &bv) in orow.iter_mut().zip(brow) {
-                *ov += av * bv;
-            }
-        }
     }
 }
 
@@ -222,16 +255,14 @@ impl Tensor {
         let c = rhs.cols();
         let mut out = Tensor::zeros(r, c);
         let a = self.data();
-        let gemm = Gemm {
+        Gemm {
+            start: 0.0,
             lhs: |i, kk| a[i * k + kk],
             rows: r,
             rhs: rhs.data(),
             c,
-            init: 0.0,
-        };
-        if gemm.run::<BASE>(out.data_mut()) {
-            matmul_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
+        .product::<BASE>(out.data_mut());
         out
     }
 
@@ -256,20 +287,18 @@ impl Tensor {
             rhs.rows(),
             rhs.cols()
         );
-        let (k, r) = self.shape();
+        let r = self.cols();
         let c = rhs.cols();
         let mut out = Tensor::zeros(r, c);
         let a = self.data();
-        let gemm = Gemm {
+        Gemm {
+            start: 0.0,
             lhs: |i, kk| a[kk * r + i],
             rows: r,
             rhs: rhs.data(),
             c,
-            init: 0.0,
-        };
-        if gemm.run::<BASE>(out.data_mut()) {
-            matmul_tn_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
+        .product::<BASE>(out.data_mut());
         out
     }
 
@@ -301,17 +330,48 @@ impl Tensor {
         let bt = rhs.transpose();
         let a = self.data();
         let gemm = Gemm {
+            start: -0.0,
             lhs: |i, kk| a[i * k + kk],
             rows: r,
             rhs: bt.data(),
             c,
-            init: -0.0,
         };
         if gemm.run::<BASE>(out.data_mut()) {
             matmul_nt_reference(self.data(), rhs.data(), (r, k, c), out.data_mut());
         }
         out
     }
+}
+
+/// `out (rows x c) = start + lhs * rhs`: output `(i, j)` starts at
+/// `start[j]` and adds `lhs(i, kk) * rhs[kk][j]` over `kk` ascending,
+/// where `lhs(i, kk)` reads the `rows x k` left operand and `rhs` is a
+/// row-major `k x c` matrix. This is [`Tensor::matmul`]'s kernel, tiles
+/// and NaN fallback, with the left operand read in place (by id, say)
+/// and the sums continuing from an earlier product's (see the module
+/// docs). The tiles equal the fallback only where no start is `-0.0`; a
+/// row this function computes from a row of `+0.0` never holds one.
+///
+/// # Panics
+/// If `out` or `rhs` is not a whole number of `start`-wide rows, and
+/// wherever `lhs` panics.
+pub fn matmul_from(start: &[f32], lhs: impl Fn(usize, usize) -> f32, rhs: &[f32], out: &mut [f32]) {
+    let c = start.len();
+    let rows = out.len().checked_div(c).unwrap_or(0);
+    assert!(
+        rows * c == out.len() && (c == 0 || rhs.len().is_multiple_of(c)),
+        "matmul_from: out len {} or rhs len {} is not a multiple of {c} columns",
+        out.len(),
+        rhs.len()
+    );
+    Gemm {
+        start,
+        lhs,
+        rows,
+        rhs,
+        c,
+    }
+    .product::<false>(out);
 }
 
 /// Row-block height for [`vecmat_nt_blocked`]: 64 rows per block, so
@@ -445,18 +505,40 @@ mod tests {
     /// two NaNs can meet in one sum: the reference loop must take over.
     const RHS_NON_FINITE: [f32; 5] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0, 1e-40];
 
-    fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(a.rows(), b.cols());
-        let dims = (a.rows(), a.cols(), b.cols());
-        matmul_reference(a.data(), b.data(), dims, out.data_mut());
+    /// The plain `ikj` reference: output `(i, j)` starts at `start[j]`
+    /// and adds `lhs(i, kk) * b[kk][j]` over `kk` ascending, skipping a
+    /// left element equal to `0.0`. Each add is `out += product` over a
+    /// row slice, the form of the kernel's fallback, so that when two
+    /// NaNs meet the same one survives.
+    fn reference_loop(
+        start: &[f32],
+        lhs: impl Fn(usize, usize) -> f32,
+        rows: usize,
+        b: &Tensor,
+    ) -> Tensor {
+        let mut out = Tensor::zeros(rows, b.cols());
+        for i in 0..rows {
+            let orow = out.row_slice_mut(i);
+            orow.copy_from_slice(start);
+            for kk in 0..b.rows() {
+                let av = lhs(i, kk);
+                if av == 0.0 {
+                    continue;
+                }
+                for (ov, &bv) in orow.iter_mut().zip(b.row_slice(kk)) {
+                    *ov += av * bv;
+                }
+            }
+        }
         out
     }
 
+    fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        reference_loop(&vec![0.0; b.cols()], |i, kk| a.get(i, kk), a.rows(), b)
+    }
+
     fn reference_matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(a.cols(), b.cols());
-        let dims = (a.cols(), a.rows(), b.cols());
-        matmul_tn_reference(a.data(), b.data(), dims, out.data_mut());
-        out
+        reference_loop(&vec![0.0; b.cols()], |i, kk| a.get(kk, i), a.cols(), b)
     }
 
     fn reference_matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
@@ -529,5 +611,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn start_accessor_kernel_bitwise_matches_reference_loop() {
+        // As the MLP head uses it: left rows read by id from a table, and
+        // sums that start wherever an earlier product left them, ±inf
+        // and NaN included. The left zeros meet infinite weights in the
+        // non-finite runs: the tile's `0 * inf` is NaN and the fallback
+        // must skip it.
+        const START_FINITE: [f32; 3] = [0.0, 1e-40, -3e-39];
+        const START_NON_FINITE: [f32; 4] = [0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut rng = TensorRng::seed_from(14);
+        for rows in [0, 1, 2, 3, 4, 5, 8, 9, 17, 100] {
+            for k in [1, 8, 16, 17] {
+                for c in [1, 4, 8, 15, 16, 17, 33] {
+                    for (rhs_specials, start_specials) in [
+                        (&RHS_FINITE[..], &START_FINITE[..]),
+                        (&RHS_NON_FINITE[..], &START_NON_FINITE[..]),
+                    ] {
+                        let table = operand(2 * rows + 1, k, &LHS_SPECIALS, &mut rng);
+                        let ids: Vec<usize> = (0..rows).map(|_| rng.index(table.rows())).collect();
+                        let start = operand(1, c, start_specials, &mut rng);
+                        let b = operand(k, c, rhs_specials, &mut rng);
+                        let lhs = |i: usize, kk: usize| table.get(ids[i], kk);
+                        let mut base = Tensor::zeros(rows, c);
+                        Gemm {
+                            start: start.data(),
+                            lhs,
+                            rows,
+                            rhs: b.data(),
+                            c,
+                        }
+                        .product::<true>(base.data_mut());
+                        let mut dispatched = Tensor::zeros(rows, c);
+                        matmul_from(start.data(), lhs, b.data(), dispatched.data_mut());
+                        assert_both(
+                            &format!("matmul_from rows={rows} k={k} c={c} start {start:?}"),
+                            [base, dispatched],
+                            &reference_loop(start.data(), lhs, rows, &b),
+                        );
+                    }
+                }
+            }
+        }
+        // the skipped `0 * inf` by hand: 1 + 3 * 1 and 2 + 3 * 2
+        let b = [f32::INFINITY, f32::NEG_INFINITY, 1.0, 2.0];
+        let lhs = [0.0, 3.0];
+        let mut out = [0.0; 2];
+        matmul_from(&[1.0, 2.0], |_, kk| lhs[kk], &b, &mut out);
+        assert_eq!(out, [4.0, 8.0]);
     }
 }

@@ -66,15 +66,31 @@ pub trait SampleUniform: Copy + PartialOrd {
     fn sample_range<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self;
 }
 
-/// Unbiased integer in `[0, span)` via rejection sampling.
-fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
-    debug_assert!(span > 0);
-    // Reject draws in the short final partial cycle of u64 % span.
-    let threshold = span.wrapping_neg() % span;
-    loop {
-        let r = rng.next_u64();
-        if r >= threshold {
-            return r % span;
+/// Unbiased integers in `[0, span)` by rejection sampling: the draws
+/// and values of [`Rng::gen_range`]`(0..span)`, with the rejection
+/// threshold (a 64-bit division) computed once. Build one per loop
+/// whose span does not change.
+#[derive(Debug, Clone, Copy)]
+pub struct Uniform {
+    span: u64,
+    threshold: u64,
+}
+
+impl Uniform {
+    /// A sampler of `0..span`. An empty span panics at its first draw.
+    pub fn below(span: u64) -> Self {
+        // Reject draws in the short final partial cycle of u64 % span.
+        let threshold = span.wrapping_neg().checked_rem(span).unwrap_or(0);
+        Self { span, threshold }
+    }
+
+    /// One draw, the one `gen_range(0..span)` would make.
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        loop {
+            let r = rng.next_u64();
+            if r >= self.threshold {
+                return r % self.span;
+            }
         }
     }
 }
@@ -85,7 +101,7 @@ macro_rules! impl_sample_int {
             fn sample_range<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "gen_range: empty range {lo}..{hi}");
                 let span = (hi as u64).wrapping_sub(lo as u64);
-                lo + uniform_u64(rng, span) as $t
+                lo + Uniform::below(span).sample(rng) as $t
             }
         }
     )*};
@@ -218,7 +234,7 @@ pub mod seq {
 
     /// Index sampling without replacement, mirroring `rand::seq::index`.
     pub mod index {
-        use super::super::Rng;
+        use super::super::{Rng, Uniform};
 
         /// Samples `amount` distinct indices from `0..length`, in random
         /// order. Partial Fisher–Yates for dense requests, rejection
@@ -243,8 +259,9 @@ pub mod seq {
             } else {
                 let mut seen = vec![0u64; length.div_ceil(64)];
                 let mut out = Vec::with_capacity(amount);
+                let draw = Uniform::below(length as u64);
                 while out.len() < amount {
-                    let x = rng.gen_range(0..length);
+                    let x = draw.sample(rng) as usize;
                     let (word, bit) = (x / 64, 1u64 << (x % 64));
                     if seen[word] & bit == 0 {
                         seen[word] |= bit;
@@ -384,6 +401,40 @@ mod tests {
                     "length {length}, amount {amount}, seed {seed}"
                 );
                 assert_eq!(a.next_u32(), b.next_u32(), "streams diverged");
+            }
+        }
+    }
+
+    /// `gen_range(0..span)` as it was, with the threshold computed on
+    /// every draw.
+    fn per_draw_threshold(rng: &mut StdRng, span: u64) -> u64 {
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let r = rng.next_u64();
+            if r >= threshold {
+                return r % span;
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_below_matches_gen_range() {
+        // 2^63 + 1 rejects about half the raw draws, so the accept and
+        // reject decisions are checked as well as the values
+        for span in [1, 2, 3, 64, 700, (1u64 << 32) + 1, (1u64 << 63) + 1] {
+            for seed in 0..4u64 {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                let mut c = StdRng::seed_from_u64(seed);
+                let draw = Uniform::below(span);
+                let got: Vec<u64> = (0..300).map(|_| draw.sample(&mut a)).collect();
+                let old: Vec<u64> = (0..300).map(|_| per_draw_threshold(&mut b, span)).collect();
+                let via_range: Vec<u64> = (0..300).map(|_| c.gen_range(0..span)).collect();
+                assert_eq!(got, old, "span {span}, seed {seed}");
+                assert_eq!(via_range, old, "gen_range, span {span}, seed {seed}");
+                let next = b.next_u32();
+                assert_eq!(a.next_u32(), next, "streams diverged, span {span}");
+                assert_eq!(c.next_u32(), next, "gen_range stream diverged, span {span}");
             }
         }
     }

@@ -7,7 +7,7 @@ use nm_models::{CdrModel, CdrTask, Domain};
 use nm_nn::{Activation, Embedding, GateFusion, Linear, Mlp, Module, Param};
 use nm_obs::trace;
 use nm_serve::{DomainSnapshot, FrozenModel, HeadKind, MlpHead, Snapshot};
-use nm_tensor::rng::{Rng, SeedableRng, StdRng};
+use nm_tensor::rng::{Rng, SeedableRng, StdRng, Uniform};
 use nm_tensor::{Tensor, TensorRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -276,6 +276,7 @@ impl NmcdrModel {
         // the draws, cleared after, so one buffer serves every user.
         let mut taken = vec![0u64; n_items.div_ceil(64)];
         let bit = |i: u32| (i as usize / 64, 1u64 << (i % 64));
+        let draw = Uniform::below(n_items as u64);
         let mut out = Vec::with_capacity(split.n_users * total);
         for items in &by_user {
             let mut cands: Vec<u32> = items.iter().take(max_obs).copied().collect();
@@ -291,7 +292,7 @@ impl NmcdrModel {
                 let mut guard = 0;
                 while cands.len() < total && guard < total * 30 {
                     guard += 1;
-                    let j = rng.gen_range(0..n_items) as u32;
+                    let j = draw.sample(&mut rng) as u32;
                     let (w, b) = bit(j);
                     if taken[w] & b == 0 {
                         taken[w] |= b;

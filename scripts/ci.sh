@@ -191,6 +191,13 @@ grep -q '"name":"stream.rollback"' target/ci_stream_trace.jsonl \
   || { echo "stream smoke: no stream.rollback event in trace"; exit 1; }
 grep -q '"name":"stream.swap"' target/ci_stream_trace.jsonl \
   || { echo "stream smoke: no stream.swap event in trace"; exit 1; }
+# One evaluation per trained round: the trainer reports the round's
+# epoch evaluation as its final one instead of scoring the same
+# parameters again.
+ROUNDS=$(grep -c '"name":"stream.round"' target/ci_stream_trace.jsonl || true)
+EVALS=$(grep -c '"name":"train.eval"' target/ci_stream_trace.jsonl || true)
+[[ "$ROUNDS" -gt 0 && "$EVALS" == "$ROUNDS" ]] \
+  || { echo "stream smoke: $EVALS train.eval spans for $ROUNDS rounds"; exit 1; }
 cargo run --release -q -p nm-cli -- obs validate --trace target/ci_stream_trace.jsonl
 
 echo "== chaos smoke: seeded fault injection, breakers, degraded modes =="
