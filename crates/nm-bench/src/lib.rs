@@ -12,7 +12,6 @@
 //! `results/` for EXPERIMENTS.md bookkeeping.
 
 use nm_data::{generate::generate, CdrDataset, Scenario};
-use nm_eval::RankingSummary;
 use nm_models::{
     train_joint, BprModel, CdrModel, CdrTask, CoNetModel, DmlModel, GaDtcdrModel, HeroGraphModel,
     LrModel, MiNetModel, MmoeModel, NeuMfModel, PleModel, PtupcdrModel, TaskConfig, TrainConfig,
@@ -334,39 +333,6 @@ pub fn save_rows(experiment: &str, rows: &[ResultRow]) {
     } else {
         println!("\n[rows saved to {}]", path.display());
     }
-}
-
-/// Prints a paper-style metric table: rows = models, column groups =
-/// sweep values, sub-columns NDCG/HR, for one domain.
-pub fn print_table(
-    title: &str,
-    sweep_label: &str,
-    sweep: &[f64],
-    models: &[ModelKind],
-    // metric accessor: (model, sweep index) -> (ndcg, hr)
-    get: impl Fn(ModelKind, usize) -> (f64, f64),
-) {
-    println!("\n=== {title} ===");
-    print!("{:<10}", "Method");
-    for v in sweep {
-        print!(" | {sweep_label}={v:<6.3} NDCG    HR");
-    }
-    println!();
-    let width = 10 + sweep.len() * 28;
-    println!("{}", "-".repeat(width));
-    for &m in models {
-        print!("{:<10}", m.name());
-        for (i, _) in sweep.iter().enumerate() {
-            let (ndcg, hr) = get(m, i);
-            print!(" |        {ndcg:>8.2} {hr:>8.2}");
-        }
-        println!();
-    }
-}
-
-/// `(summary_a, summary_b)` means accessor used by several binaries.
-pub fn mean_metrics(a: &RankingSummary, b: &RankingSummary) -> (f64, f64) {
-    ((a.ndcg + b.ndcg) / 2.0, (a.hr + b.hr) / 2.0)
 }
 
 #[cfg(test)]

@@ -19,13 +19,11 @@
 //!    allowlist lets legacy debt burn down while new violations fail.
 //! 3. [`sched`] — a mini-loom model checker: deterministic virtual
 //!    threads, exhaustive DFS over interleavings with optional
-//!    preemption bounding, deadlock (lost-wakeup) detection.
-//!    [`sched::cores`] runs the production `nm-sync` cores (the
-//!    `nm-serve` coalescer, connection gate, exemplar ring, breaker
-//!    bank and respawn path, and the `nm-obs` sampler ring) under a
-//!    virtual backend; the models in [`sched::models`] mirror the
-//!    `nm-obs` counter, histogram and trace sink and the `nm-stream`
-//!    ring, whose atomics cannot be virtualized.
+//!    preemption bounding, deadlock (lost-wakeup) detection. It checks
+//!    only production code: [`sched::cores`] runs the `nm-sync` cores
+//!    (the `nm-serve` coalescer, connection gate, exemplar ring,
+//!    breaker bank and respawn path, and the `nm-obs` sampler ring)
+//!    under a virtual backend.
 //!
 //! Every pass reports [`Diagnostic`]s instead of panicking; the
 //! negative-test suite (`tests/negative_suite.rs`) seeds one defect per

@@ -1,56 +1,27 @@
 //! Mini-loom: deterministic virtual threads + systematic interleaving
-//! enumeration.
+//! enumeration over the production concurrency code.
 //!
-//! A [`SchedModel`] is a small state machine abstracting a concurrent
-//! algorithm: each virtual thread advances in atomic steps, may block
-//! (lock held, waiting on a flag) and eventually finishes. The
-//! [`explore`] driver runs a depth-first search over every schedule —
-//! every order in which runnable threads can be stepped — optionally
-//! bounded by a preemption budget (switching away from a still-runnable
-//! thread costs one preemption; most real bugs need only a few, so a
-//! small bound explores the dangerous schedules first, cf.
-//! CHESS-style bounded model checking).
+//! [`virt::explore_virtual`] runs the *actual* `nm-sync` cores —
+//! coalescer, connection gate, exemplar ring, breaker bank, respawn
+//! path, sampler ring — under a virtual [`nm_sync::Backend`] whose
+//! blocking ops are the scheduling points (harnesses in [`cores`]). It
+//! searches every schedule — every order in which runnable threads can
+//! be stepped — depth first, optionally bounded by a preemption budget
+//! (switching away from a still-runnable thread costs one preemption;
+//! most real bugs need only a few, so a small bound explores the
+//! dangerous schedules first, cf. CHESS-style bounded model checking).
 //!
-//! Invariants are asserted after *every* step and at completion, and a
+//! Each case checks its invariant when every thread is done, and a
 //! state where no thread is runnable but some are unfinished is
 //! reported as a deadlock — which is exactly what a lost wakeup looks
 //! like in this framework.
-//!
-//! Two front ends share this explorer. [`SchedModel`] state machines
-//! (in [`models`]) mirror algorithms whose real implementations are
-//! lock-free or crate-local; and [`virt::explore_virtual`] runs the
-//! *actual* `nm-sync` cores — coalescer, connection gate, exemplar
-//! ring, breaker bank, respawn path, sampler ring — under a virtual
-//! [`nm_sync::Backend`] whose blocking ops are the scheduling points
-//! (harnesses in [`cores`]).
 
 pub mod cores;
-pub mod models;
 pub mod virt;
 
 use crate::{Diagnostic, Pass};
 
-/// A model-checkable concurrent algorithm. `Clone` must snapshot the
-/// complete state: the explorer forks the state at every scheduling
-/// choice.
-pub trait SchedModel: Clone {
-    fn thread_count(&self) -> usize;
-    /// Thread finished all its work.
-    fn is_done(&self, tid: usize) -> bool;
-    /// Thread can take a step now (false when done or blocked).
-    fn is_runnable(&self, tid: usize) -> bool;
-    /// Advance `tid` by one atomic step. Only called when runnable.
-    fn step(&mut self, tid: usize);
-    /// Safety invariant, checked after every step.
-    fn check_step(&self) -> Result<(), String> {
-        Ok(())
-    }
-    /// Postcondition, checked when every thread is done.
-    fn check_final(&self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
+/// Options for [`virt::explore_virtual`].
 #[derive(Debug, Clone)]
 pub struct ExploreOpts {
     /// Max preemptions per schedule; `None` = unbounded (full DFS).
@@ -68,7 +39,7 @@ impl Default for ExploreOpts {
     }
 }
 
-/// Result of exploring a model's schedule space.
+/// Result of exploring a case's schedule space.
 #[derive(Debug)]
 pub struct Explored {
     /// Complete schedules enumerated (distinct by construction — DFS
@@ -88,178 +59,16 @@ pub struct Violation {
 }
 
 impl Explored {
-    /// Renders into a diagnostic for the given model name, if a
-    /// violation was found.
-    pub fn to_diagnostic(&self, model: &str) -> Option<Diagnostic> {
+    /// Renders into a diagnostic for the named case, if a violation was
+    /// found.
+    pub fn to_diagnostic(&self, case: &str) -> Option<Diagnostic> {
         self.violation.as_ref().map(|v| {
             Diagnostic::new(
                 Pass::Sched,
                 "sched/violation",
-                model.to_string(),
+                case.to_string(),
                 format!("{} [schedule {:?}]", v.message, v.schedule),
             )
         })
-    }
-}
-
-/// Exhaustively (or preemption-boundedly) explores every schedule of
-/// `model`, returning the first violation and the number of complete
-/// schedules enumerated.
-pub fn explore<M: SchedModel>(model: &M, opts: &ExploreOpts) -> Explored {
-    let mut out = Explored {
-        schedules: 0,
-        truncated: false,
-        violation: None,
-    };
-    let mut path = Vec::new();
-    dfs(model, opts, None, 0, &mut path, &mut out);
-    out
-}
-
-fn dfs<M: SchedModel>(
-    m: &M,
-    opts: &ExploreOpts,
-    last: Option<usize>,
-    preemptions: u32,
-    path: &mut Vec<usize>,
-    out: &mut Explored,
-) {
-    if out.violation.is_some() {
-        return;
-    }
-    if out.schedules >= opts.max_schedules {
-        out.truncated = true;
-        return;
-    }
-    let n = m.thread_count();
-    let enabled: Vec<usize> = (0..n).filter(|&t| m.is_runnable(t)).collect();
-    if enabled.is_empty() {
-        if (0..n).all(|t| m.is_done(t)) {
-            out.schedules += 1;
-            if let Err(msg) = m.check_final() {
-                out.violation = Some(Violation {
-                    schedule: path.clone(),
-                    message: format!("final-state violation: {msg}"),
-                });
-            }
-        } else {
-            let stuck: Vec<usize> = (0..n).filter(|&t| !m.is_done(t)).collect();
-            out.violation = Some(Violation {
-                schedule: path.clone(),
-                message: format!(
-                    "deadlock / lost wakeup: threads {stuck:?} blocked forever with no \
-                     runnable thread"
-                ),
-            });
-        }
-        return;
-    }
-    for &tid in &enabled {
-        // Switching away from a thread that could have continued is a
-        // preemption; resuming after a block is free. This keeps at
-        // least one choice (continuing `last`) inside any budget.
-        let is_preemption = match last {
-            Some(l) => l != tid && m.is_runnable(l),
-            None => false,
-        };
-        let used = preemptions + u32::from(is_preemption);
-        if let Some(bound) = opts.preemption_bound {
-            if used > bound {
-                continue;
-            }
-        }
-        let mut next = m.clone();
-        next.step(tid);
-        path.push(tid);
-        if let Err(msg) = next.check_step() {
-            out.violation = Some(Violation {
-                schedule: path.clone(),
-                message: format!("invariant violation: {msg}"),
-            });
-            path.pop();
-            return;
-        }
-        dfs(&next, opts, Some(tid), used, path, out);
-        path.pop();
-        if out.violation.is_some() || out.truncated {
-            return;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Two threads, two steps each, no shared state: 4!/(2!2!) = 6
-    /// schedules.
-    #[derive(Clone)]
-    struct Trivial {
-        left: [u32; 2],
-    }
-
-    impl SchedModel for Trivial {
-        fn thread_count(&self) -> usize {
-            2
-        }
-        fn is_done(&self, t: usize) -> bool {
-            self.left[t] == 0
-        }
-        fn is_runnable(&self, t: usize) -> bool {
-            !self.is_done(t)
-        }
-        fn step(&mut self, t: usize) {
-            self.left[t] -= 1;
-        }
-    }
-
-    #[test]
-    fn counts_interleavings_exactly() {
-        let r = explore(&Trivial { left: [2, 2] }, &ExploreOpts::default());
-        assert!(r.violation.is_none());
-        assert!(!r.truncated);
-        assert_eq!(r.schedules, 6);
-    }
-
-    #[test]
-    fn preemption_bound_zero_is_round_robin_free() {
-        // With 0 preemptions each thread runs to completion once
-        // scheduled: the only choice is who goes first.
-        let r = explore(
-            &Trivial { left: [2, 2] },
-            &ExploreOpts {
-                preemption_bound: Some(0),
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.schedules, 2);
-    }
-
-    /// A thread that blocks forever on a flag nobody sets.
-    #[derive(Clone)]
-    struct Stuck {
-        stepped: bool,
-    }
-
-    impl SchedModel for Stuck {
-        fn thread_count(&self) -> usize {
-            2
-        }
-        fn is_done(&self, t: usize) -> bool {
-            t == 0 && self.stepped
-        }
-        fn is_runnable(&self, t: usize) -> bool {
-            t == 0 && !self.stepped
-        }
-        fn step(&mut self, _t: usize) {
-            self.stepped = true;
-        }
-    }
-
-    #[test]
-    fn deadlock_is_detected() {
-        let r = explore(&Stuck { stepped: false }, &ExploreOpts::default());
-        let v = r.violation.expect("deadlock must be reported");
-        assert!(v.message.contains("deadlock"), "{}", v.message);
     }
 }

@@ -1,5 +1,5 @@
 //! The virtual `SyncBackend`: model-checking the *real* concurrent
-//! cores, not hand-written mirrors of them.
+//! cores.
 //!
 //! `nm-sync`'s cores are generic over [`nm_sync::Backend`]; production
 //! instantiates them with `StdBackend` (plain `std::sync`), and this
@@ -8,9 +8,8 @@
 //! acquisition, condition waits, atomic-cell ops, explicit
 //! `sched_point`s — yields to a deterministic scheduler instead of the
 //! OS. [`explore_virtual`] then enumerates every interleaving of those
-//! yield points with the same DFS/preemption-bound semantics (and the
-//! same violation message formats) as the state-machine explorer in
-//! [`super::explore`].
+//! yield points, depth first, within an optional preemption bound
+//! ([`ExploreOpts`]).
 //!
 //! ## How a schedule runs
 //!
@@ -185,8 +184,7 @@ fn unblock_lock_waiters(st: &mut RunState, id: usize) {
 }
 
 /// Releases virtual lock `id` without yielding: the release is the
-/// tail of the holder's current step, matching the one-region-one-step
-/// granularity of the state-machine models.
+/// tail of the holder's current step, so one lock region is one step.
 fn vrelease(run: &RunCore, id: usize) {
     let mut st = lockst(run);
     st.locks[id] = false;
@@ -654,10 +652,10 @@ fn next_script(decisions: &[Decision], bound: Option<u32>) -> Option<Vec<usize>>
     None
 }
 
-/// Explores every schedule of the case built by `mk`, with the same
-/// options, result shape, and message formats as [`super::explore`].
-/// `mk` is invoked once per replay and must build an equivalent case
-/// each time (fresh cores, same structure).
+/// Explores every schedule of the case built by `mk`, returning the
+/// first violation and the number of complete schedules run. `mk` is
+/// invoked once per replay and must build an equivalent case each time
+/// (fresh cores, same structure).
 pub fn explore_virtual(mk: impl Fn() -> VirtSpec, opts: &ExploreOpts) -> Explored {
     install_quiet_hook();
     let mk: &dyn Fn() -> VirtSpec = &mk;
@@ -692,8 +690,7 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     /// Two threads, one scheduled atomic op each (plus the entry step):
-    /// the interleaving count must match the state-machine explorer's
-    /// for two threads x two steps.
+    /// two threads x two steps interleave in exactly C(4, 2) ways.
     #[test]
     fn counts_interleavings_exactly() {
         let r = explore_virtual(
@@ -723,7 +720,7 @@ mod tests {
         assert!(r.violation.is_none(), "{:?}", r.violation);
         assert!(!r.truncated);
         // Each thread takes 2 grants (entry -> yield-at-op, op -> done):
-        // C(4, 2) = 6 interleavings, exactly like the CounterModel.
+        // C(4, 2) = 6 interleavings.
         assert_eq!(r.schedules, 6);
     }
 
@@ -821,8 +818,8 @@ mod tests {
         assert!(r.schedules > 1, "lock contention must branch the tree");
     }
 
-    /// A waiter nobody ever notifies is a deadlock, reported in the
-    /// same message format as the state-machine explorer.
+    /// A waiter nobody ever notifies is a deadlock, reported with the
+    /// blocked thread ids.
     #[test]
     fn unnotified_wait_is_a_deadlock() {
         let r = explore_virtual(

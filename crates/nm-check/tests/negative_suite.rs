@@ -15,27 +15,22 @@
 //! 6. missing SAFETY comment    -> lint/safety-comment
 //! 7. hash in serialization     -> lint/no-hash-iter
 //! 8. wall-clock read           -> lint/no-wallclock
-//! 9. lost-wakeup coalescer     -> sched deadlock          (real core, virtualized)
-//! 10. double dispatch          -> sched final-state       (real core, virtualized)
-//! 11. torn histogram snapshot  -> sched invariant         (model)
-//! 12. seq allocated off-lock   -> sched invariant         (model)
-//! 13. non-atomic counter       -> sched final-state       (model)
-//! 14. connection over-admission-> sched final-state       (real core, virtualized)
-//! 15. per-item epoch read      -> sched invariant (model, mixed-epoch batch)
-//! 16. double half-open probe   -> sched final-state       (real core, virtualized)
-//! 17. non-atomic respawn check -> sched final-state       (real core, virtualized)
-//! 18. over-capacity ring       -> sched final-state       (real core, virtualized)
-//! 19. watermark re-read leak   -> sched final-state       (real core, virtualized)
+//! 9. lost-wakeup coalescer     -> sched deadlock
+//! 10. double dispatch          -> sched final-state
+//! 14. connection over-admission-> sched final-state
+//! 16. double half-open probe   -> sched final-state
+//! 17. non-atomic respawn check -> sched final-state
+//! 18. over-capacity ring       -> sched final-state
+//! 19. watermark re-read leak   -> sched final-state
 //! ```
 //!
-//! Items 9, 10, 14, 16, 17, 18, 19 seed their bug into the *production*
+//! Items 9, 10, 14 and 16–19 seed their bug into the *production*
 //! `nm-sync` core (via its default-off bug knob) and model-check the
-//! real generic code under `VirtualBackend` — not a hand-written mirror.
+//! real generic code under `VirtualBackend`.
 
 use nm_autograd::{TraceMeta, TraceNode};
-use nm_check::sched::models::*;
 use nm_check::sched::virt::explore_virtual;
-use nm_check::sched::{cores, explore, ExploreOpts};
+use nm_check::sched::{cores, ExploreOpts};
 use nm_check::shape::{compare_symbolic, verify_op_coverage, verify_reachability, verify_trace};
 use nm_check::{lint, Diagnostic};
 use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RespawnBug, RingBug};
@@ -269,10 +264,6 @@ fn allowlist_gates_new_violations_only() {
 
 // ---- concurrency checker ----------------------------------------------
 
-fn opts() -> ExploreOpts {
-    ExploreOpts::default()
-}
-
 /// Bound for the virtualized real-core runs: every seeded bug below
 /// needs at most three preemptions (CHESS small-bound hypothesis), and
 /// the bound keeps replay counts small enough for a test suite.
@@ -301,27 +292,6 @@ fn seeded_double_dispatch_caught() {
 }
 
 #[test]
-fn seeded_torn_histogram_snapshot_caught() {
-    let r = explore(&HistogramModel::seeded_bug(2, 2), &opts());
-    let v = r.violation.expect("torn read must surface");
-    assert!(v.message.contains("torn snapshot"), "{}", v.message);
-}
-
-#[test]
-fn seeded_seq_allocation_outside_lock_caught() {
-    let r = explore(&SeqSinkModel::seeded_bug(2, 2), &opts());
-    let v = r.violation.expect("out-of-order seq must surface");
-    assert!(v.message.contains("seq order"), "{}", v.message);
-}
-
-#[test]
-fn seeded_nonatomic_counter_caught() {
-    let r = explore(&CounterModel::seeded_bug(2, 2), &opts());
-    let v = r.violation.expect("lost update must surface");
-    assert!(v.message.contains("lost update"), "{}", v.message);
-}
-
-#[test]
 fn seeded_over_admission_caught() {
     let r = explore_virtual(cores::conn_gate(3, 1, GateBug::CheckThenAct), &vopts());
     let v = r.violation.expect("over-admission must surface");
@@ -333,13 +303,6 @@ fn seeded_ring_check_then_act_caught() {
     let r = explore_virtual(cores::exemplar_ring(3, 1, RingBug::CheckThenAct), &vopts());
     let v = r.violation.expect("over-capacity ring must surface");
     assert!(v.message.contains("over-capacity ring"), "{}", v.message);
-}
-
-#[test]
-fn seeded_per_item_epoch_read_caught() {
-    let r = explore(&StreamRingModel::seeded_bug(4, 3, 2, 1), &opts());
-    let v = r.violation.expect("mixed-epoch batch must surface");
-    assert!(v.message.contains("mixed-epoch batch"), "{}", v.message);
 }
 
 #[test]
@@ -376,19 +339,4 @@ fn seeded_nonatomic_respawn_caught() {
     let r = explore_virtual(cores::supervisor(2, RespawnBug::SplitRespawn), &vopts());
     let v = r.violation.expect("double restart must surface");
     assert!(v.message.contains("double restart"), "{}", v.message);
-}
-
-#[test]
-fn bounded_preemption_still_finds_the_counter_bug() {
-    // Two preemptions suffice for the lost update — the CHESS small-
-    // bound hypothesis holds here, which is what makes the bounded
-    // mode a useful fast path.
-    let r = explore(
-        &CounterModel::seeded_bug(2, 2),
-        &ExploreOpts {
-            preemption_bound: Some(2),
-            ..Default::default()
-        },
-    );
-    assert!(r.violation.is_some());
 }

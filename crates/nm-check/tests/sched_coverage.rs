@@ -1,86 +1,38 @@
-//! Positive half of the concurrency checking: every checked algorithm
-//! passes every explored schedule, and the schedule space is large
-//! enough (>= 1000 distinct schedules per invariant, the ci.sh
-//! acceptance bar) that "no violation" is a meaningful statement.
-//!
-//! Two kinds of subject here. The lock-free / crate-local algorithms
-//! (counter, histogram, trace sink, stream ring) are checked through
-//! their [`nm_check::sched::models`] mirrors. The monitor-based cores
-//! (coalescer, connection gate, exemplar ring, breaker, supervisor,
-//! sampler ring) are checked directly: the *production* `nm-sync`
-//! generic code instantiated with `VirtualBackend`, every blocking /
-//! atomic op a scheduling point.
+//! Positive half of the concurrency checking: every production
+//! `nm-sync` core (coalescer, connection gate, exemplar ring, breaker,
+//! supervisor, sampler ring) passes every explored schedule, and the
+//! schedule space is large enough (>= 1000 distinct schedules per core,
+//! the ci.sh acceptance bar) that "no violation" is a meaningful
+//! statement. Each core is checked directly: the *production* generic
+//! code instantiated with `VirtualBackend`, every blocking / atomic op
+//! a scheduling point.
 
 use nm_check::sched::virt::{explore_virtual, VirtSpec};
-use nm_check::sched::{cores, explore, ExploreOpts, SchedModel};
+use nm_check::sched::{cores, ExploreOpts};
 use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RespawnBug, RingBug};
 
-fn assert_clean<M: SchedModel>(name: &str, model: M) -> u64 {
-    check("model", name, explore(&model, &ExploreOpts::default()))
-}
-
-fn assert_clean_virtual(name: &str, bound: Option<u32>, mk: impl Fn() -> VirtSpec) -> u64 {
+fn assert_clean(name: &str, bound: Option<u32>, mk: impl Fn() -> VirtSpec) {
     let opts = ExploreOpts {
         preemption_bound: bound,
         ..Default::default()
     };
-    check("core", name, explore_virtual(mk, &opts))
-}
-
-fn check(kind: &str, name: &str, r: nm_check::sched::Explored) -> u64 {
+    let r = explore_virtual(mk, &opts);
     assert!(
         r.violation.is_none(),
-        "{kind} {name}: unexpected violation: {:?}",
+        "core {name}: unexpected violation: {:?}",
         r.violation
     );
-    assert!(!r.truncated, "{kind} {name}: schedule space truncated");
+    assert!(!r.truncated, "core {name}: schedule space truncated");
     assert!(
         r.schedules >= 1000,
-        "{kind} {name}: only {} schedules explored, need >= 1000 — grow the config",
+        "core {name}: only {} schedules explored, need >= 1000 — grow the config",
         r.schedules
     );
-    r.schedules
 }
-
-// ---- state-machine mirrors (lock-free algorithms) ---------------------
-
-#[test]
-fn counter_atomic_all_schedules_clean() {
-    assert_clean(
-        "counter",
-        nm_check::sched::models::CounterModel::atomic(2, 7),
-    );
-}
-
-#[test]
-fn histogram_record_order_all_schedules_clean() {
-    assert_clean(
-        "histogram",
-        nm_check::sched::models::HistogramModel::correct(4, 3),
-    );
-}
-
-#[test]
-fn seq_sink_lock_order_all_schedules_clean() {
-    assert_clean(
-        "seq-sink",
-        nm_check::sched::models::SeqSinkModel::correct(3, 3),
-    );
-}
-
-#[test]
-fn stream_ring_all_schedules_clean() {
-    assert_clean(
-        "stream-ring",
-        nm_check::sched::models::StreamRingModel::correct(6, 3, 2, 2),
-    );
-}
-
-// ---- virtualized production cores (nm-sync under VirtualBackend) -----
 
 #[test]
 fn coalescer_real_core_all_schedules_clean() {
-    assert_clean_virtual(
+    assert_clean(
         "coalescer",
         Some(2),
         cores::coalescer(3, 2, CoalesceBug::None),
@@ -89,13 +41,13 @@ fn coalescer_real_core_all_schedules_clean() {
 
 #[test]
 fn conn_gate_real_core_all_schedules_clean() {
-    assert_clean_virtual("conn-gate", Some(3), cores::conn_gate(3, 2, GateBug::None));
+    assert_clean("conn-gate", Some(3), cores::conn_gate(3, 2, GateBug::None));
 }
 
 #[test]
 fn exemplar_ring_real_core_all_schedules_clean() {
     // Small enough for an exhaustive (unbounded) exploration.
-    assert_clean_virtual(
+    assert_clean(
         "exemplar-ring",
         None,
         cores::exemplar_ring(3, 2, RingBug::None),
@@ -104,12 +56,12 @@ fn exemplar_ring_real_core_all_schedules_clean() {
 
 #[test]
 fn breaker_real_core_all_schedules_clean() {
-    assert_clean_virtual("breaker", Some(2), cores::breaker(4, BreakerBug::None));
+    assert_clean("breaker", Some(2), cores::breaker(4, BreakerBug::None));
 }
 
 #[test]
 fn supervisor_real_core_all_schedules_clean() {
-    assert_clean_virtual(
+    assert_clean(
         "supervisor",
         Some(2),
         cores::supervisor(3, RespawnBug::None),
@@ -118,7 +70,7 @@ fn supervisor_real_core_all_schedules_clean() {
 
 #[test]
 fn sampler_ring_real_core_all_schedules_clean() {
-    assert_clean_virtual(
+    assert_clean(
         "sampler-ring",
         Some(3),
         cores::sampler_ring(2, 2, 2, DeltaBug::None),

@@ -15,11 +15,9 @@
 //! 3. **Workspace lint** against the checked-in allowlist
 //!    (`scripts/lint_allowlist.tsv`); `--fix-allowlist` regenerates it.
 //! 4. **Concurrency model checking**, requiring >= 1000 distinct
-//!    schedules per invariant. The lock-free nm-obs/nm-stream
-//!    algorithms are checked through state-machine mirrors; the
-//!    monitor-based `nm-sync` cores (coalescer, connection gate,
-//!    exemplar ring, breaker, supervisor, sampler ring) are checked
-//!    directly — the production generic code instantiated with
+//!    schedules per core. The `nm-sync` cores (coalescer, connection
+//!    gate, exemplar ring, sampler ring, breaker, supervisor) are
+//!    checked directly: the production generic code instantiated with
 //!    `VirtualBackend`, every blocking/atomic op a scheduling point.
 //!
 //! Flags: `--root <dir>` (workspace root, default `.`), `--json <file>`
@@ -29,9 +27,8 @@
 use crate::args::Args;
 use nm_autograd::TraceNode;
 use nm_bench::{ExpProfile, ModelKind};
-use nm_check::sched::models::{CounterModel, HistogramModel, SeqSinkModel, StreamRingModel};
 use nm_check::sched::virt::{explore_virtual, VirtSpec};
-use nm_check::sched::{cores, explore, ExploreOpts, Explored, SchedModel};
+use nm_check::sched::{cores, ExploreOpts};
 use nm_check::shape::{compare_symbolic, verify_reachability, verify_trace};
 use nm_check::{diagnostics_to_json, lint, Diagnostic, Pass};
 use nm_data::batch::Batch;
@@ -415,50 +412,41 @@ fn lint_stage(root: &str, allowlist_path: &str, fix: bool) -> Result<Vec<Diagnos
 
 fn sched_stage() -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    // Lock-free algorithms: checked through their state-machine mirrors.
-    run_sched(&mut diags, "obs.counter", CounterModel::atomic(2, 7));
-    run_sched(&mut diags, "obs.histogram", HistogramModel::correct(4, 3));
-    run_sched(&mut diags, "obs.trace-seq", SeqSinkModel::correct(3, 3));
+    // The *production* nm-sync generics under VirtualBackend — the code
+    // nm-serve/nm-obs actually run, with each seeded-bug knob off.
+    // Preemption bounds are tuned so every core clears the
+    // 1000-schedule bar without open-ended exploration.
     run_sched(
-        &mut diags,
-        "stream.ring",
-        StreamRingModel::correct(6, 3, 2, 2),
-    );
-    // Monitor-based cores: the *production* nm-sync generics under
-    // VirtualBackend — the code nm-serve/nm-obs actually run, with each
-    // seeded-bug knob off. Preemption bounds are tuned so every core
-    // clears the 1000-schedule bar without open-ended exploration.
-    run_sched_virtual(
         &mut diags,
         "serve.coalescer",
         Some(2),
         cores::coalescer(3, 2, CoalesceBug::None),
     );
-    run_sched_virtual(
+    run_sched(
         &mut diags,
         "serve.conn-slots",
         Some(3),
         cores::conn_gate(3, 2, GateBug::None),
     );
-    run_sched_virtual(
+    run_sched(
         &mut diags,
         "serve.exemplar-ring",
         None,
         cores::exemplar_ring(3, 2, RingBug::None),
     );
-    run_sched_virtual(
+    run_sched(
         &mut diags,
         "obs.sampler-ring",
         Some(3),
         cores::sampler_ring(2, 2, 2, DeltaBug::None),
     );
-    run_sched_virtual(
+    run_sched(
         &mut diags,
         "serve.breaker",
         Some(2),
         cores::breaker(4, BreakerBug::None),
     );
-    run_sched_virtual(
+    run_sched(
         &mut diags,
         "serve.supervisor",
         Some(2),
@@ -467,13 +455,7 @@ fn sched_stage() -> Vec<Diagnostic> {
     diags
 }
 
-fn run_sched<M: SchedModel>(diags: &mut Vec<Diagnostic>, name: &str, model: M) {
-    let r = explore(&model, &ExploreOpts::default());
-    println!("[check] sched: {name}: {} schedules explored", r.schedules);
-    record_sched(diags, name, &r);
-}
-
-fn run_sched_virtual(
+fn run_sched(
     diags: &mut Vec<Diagnostic>,
     name: &str,
     bound: Option<u32>,
@@ -488,10 +470,6 @@ fn run_sched_virtual(
         "[check] sched: {name}: {} schedules explored (real core, virtualized)",
         r.schedules
     );
-    record_sched(diags, name, &r);
-}
-
-fn record_sched(diags: &mut Vec<Diagnostic>, name: &str, r: &Explored) {
     if let Some(d) = r.to_diagnostic(name) {
         diags.push(d);
     }

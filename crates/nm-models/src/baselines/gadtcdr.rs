@@ -12,17 +12,10 @@
 use crate::{CdrModel, CdrTask, Domain};
 use nm_autograd::{Tape, Var};
 use nm_nn::{Activation, Embedding, Linear, Mlp, Module, Param};
-use nm_serve::{HeadKind, MlpHead};
+use nm_serve::{DomainSnapshot, HeadKind, MlpHead, Snapshot};
 use nm_tensor::{Tensor, TensorRng};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-struct EvalCache {
-    user_a: Tensor,
-    user_b: Tensor,
-    item_a: Tensor,
-    item_b: Tensor,
-}
 
 /// GA-DTCDR with GNN encoders + element-wise attention fusion.
 pub struct GaDtcdrModel {
@@ -43,7 +36,8 @@ pub struct GaDtcdrModel {
     map_b: Rc<Vec<u32>>,
     mask_a: Tensor,
     mask_b: Tensor,
-    cache: RefCell<Option<EvalCache>>,
+    /// The propagated tables and both heads, frozen for `eval_scores`.
+    frozen: RefCell<Option<Snapshot>>,
 }
 
 impl GaDtcdrModel {
@@ -80,7 +74,7 @@ impl GaDtcdrModel {
             map_b,
             mask_a,
             mask_b,
-            cache: RefCell::new(None),
+            frozen: RefCell::new(None),
             task,
         }
     }
@@ -151,6 +145,22 @@ impl GaDtcdrModel {
         (fa, fb, va, vb)
     }
 
+    /// Freezes the *propagated* tables (fused users, encoded items) and
+    /// the per-domain prediction MLPs.
+    fn freeze(&self) -> Snapshot {
+        let mut tape = Tape::new();
+        let (fa, fb, va, vb) = self.propagate(&mut tape);
+        let mk = |u: Var, v: Var, head: &Mlp| DomainSnapshot {
+            users: tape.value(u).clone(),
+            items: tape.value(v).clone(),
+            head: HeadKind::Mlp(MlpHead::from_mlp(head)),
+        };
+        Snapshot {
+            model: "GA-DTCDR".into(),
+            domains: [mk(fa, va, &self.head_a), mk(fb, vb, &self.head_b)],
+        }
+    }
+
     fn forward(&self, tape: &mut Tape, domain: Domain, users: &[u32], items: &[u32]) -> Var {
         let (fa, fb, va, vb) = self.propagate(tape);
         let (uf, vf, head) = match domain {
@@ -198,24 +208,13 @@ impl CdrModel for GaDtcdrModel {
     }
 
     fn prepare_eval(&mut self) {
-        let mut tape = Tape::new();
-        let (fa, fb, va, vb) = self.propagate(&mut tape);
-        *self.cache.borrow_mut() = Some(EvalCache {
-            user_a: tape.value(fa).clone(),
-            user_b: tape.value(fb).clone(),
-            item_a: tape.value(va).clone(),
-            item_b: tape.value(vb).clone(),
-        });
+        *self.frozen.get_mut() = Some(self.freeze());
     }
 
     fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let cache = self.cache.borrow();
-        let c = cache.as_ref().expect("prepare_eval not called");
-        let (ue, ve, head) = match domain {
-            Domain::A => (&c.user_a, &c.item_a, &self.head_a),
-            Domain::B => (&c.user_b, &c.item_b, &self.head_b),
-        };
-        HeadKind::Mlp(MlpHead::from_mlp(head)).score_pairs(ue, ve, users, items)
+        let mut frozen = self.frozen.borrow_mut();
+        let snap = frozen.get_or_insert_with(|| self.freeze());
+        snap.score_pairs(domain.index(), users, items)
     }
 }
 
@@ -261,6 +260,30 @@ mod tests {
         let ev = m.eval_scores(Domain::B, &users, &items);
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&train_scores), bits(&ev));
+    }
+
+    #[test]
+    fn eval_matches_training_forward_after_training() {
+        let mut m = GaDtcdrModel::new(task(0.5), 8, 5);
+        let users = [0u32, 5, 9, 5];
+        let items = [1u32, 3, 2, 7];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let check = |m: &GaDtcdrModel| {
+            for domain in Domain::BOTH {
+                let mut tape = Tape::new();
+                let l = m.forward_logits(&mut tape, domain, &users, &items);
+                let eval = m.eval_scores(domain, &users, &items);
+                assert_eq!(bits(tape.value(l).data()), bits(&eval));
+            }
+        };
+        check(&m);
+        // training moves the tables and heads; its evaluations refreeze them
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..Default::default()
+        };
+        train_joint(&mut m, &cfg).expect("training");
+        check(&m);
     }
 
     #[test]

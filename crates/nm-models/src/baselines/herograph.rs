@@ -22,7 +22,6 @@ use std::rc::Rc;
 /// HeroGraph: global cross-domain graph + local enhancement.
 pub struct HeroGraphModel {
     task: Rc<CdrTask>,
-    index: SharedUserIndex,
     /// One embedding table over the whole global node space.
     global: Embedding,
     /// Local per-domain tables.
@@ -71,8 +70,8 @@ impl HeroGraphModel {
         }
         let adj = Rc::new(Csr::from_edges(n_nodes, n_nodes, &edges).row_normalized());
         let adj_t = Rc::new(adj.transpose());
-        let gmap_user_a = Rc::new(index.a_to_global.clone());
-        let gmap_user_b = Rc::new(index.b_to_global.clone());
+        let gmap_user_a = Rc::new(index.a_to_global);
+        let gmap_user_b = Rc::new(index.b_to_global);
         let gmap_item_a: Rc<Vec<u32>> = Rc::new((0..n_ia).map(|i| (n_users + i) as u32).collect());
         let gmap_item_b: Rc<Vec<u32>> =
             Rc::new((0..n_ib).map(|i| (n_users + n_ia + i) as u32).collect());
@@ -103,14 +102,8 @@ impl HeroGraphModel {
             gmap_item_a,
             gmap_item_b,
             frozen: RefCell::new(None),
-            index,
             task,
         }
-    }
-
-    /// The merged global user-id space (exposed for inspection/tests).
-    pub fn shared_index(&self) -> &SharedUserIndex {
-        &self.index
     }
 
     /// Two GNN hops on the global graph; returns the node table.
@@ -264,9 +257,9 @@ mod tests {
         let m = HeroGraphModel::new(t.clone(), 8, 1);
         // an overlapped user's global node must touch items of BOTH domains
         let &(a, b) = t.dataset.overlap.first().unwrap();
-        let gu = m.index.a_to_global[a as usize] as usize;
-        assert_eq!(gu, m.index.b_to_global[b as usize] as usize);
-        let n_users = m.index.n_global;
+        let gu = m.gmap_user_a[a as usize] as usize;
+        assert_eq!(gu, m.gmap_user_b[b as usize] as usize);
+        let n_users = SharedUserIndex::build(&t).n_global;
         let n_ia = t.split_a.n_items;
         let neighbors = m.adj.row_indices(gu);
         let has_a = neighbors

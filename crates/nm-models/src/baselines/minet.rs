@@ -185,12 +185,6 @@ impl CdrModel for MiNetModel {
     fn forward_logits(&self, tape: &mut Tape, domain: Domain, users: &[u32], items: &[u32]) -> Var {
         self.forward(tape, domain, users, items)
     }
-
-    fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let mut tape = Tape::new();
-        let l = self.forward(&mut tape, domain, users, items);
-        tape.value(l).data().to_vec()
-    }
 }
 
 #[cfg(test)]

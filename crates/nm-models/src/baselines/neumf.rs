@@ -98,30 +98,6 @@ impl CdrModel for NeuMfModel {
         self.tower(domain)
             .forward(tape, Rc::new(users.to_vec()), Rc::new(items.to_vec()))
     }
-
-    fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
-        // Recompute through the same branch structure on a throwaway
-        // tape. GMF and MLP branches use different tables, so the
-        // generic (user_emb, item_emb) helper is used twice via a
-        // combined closure over gathered pairs.
-        let t = self.tower(domain);
-        let gu = t.gmf_user.table_value();
-        let gi = t.gmf_item.table_value();
-        let mu = t.mlp_user.table_value();
-        let mi = t.mlp_item.table_value();
-        let mut tape = Tape::new();
-        let guv = tape.constant(gu.gather_rows(users));
-        let giv = tape.constant(gi.gather_rows(items));
-        let gmf = tape.mul(guv, giv);
-        let muv = tape.constant(mu.gather_rows(users));
-        let miv = tape.constant(mi.gather_rows(items));
-        let cat = tape.concat_cols(muv, miv);
-        let deep = t.mlp.forward(&mut tape, cat);
-        let deep = tape.relu(deep);
-        let both = tape.concat_cols(gmf, deep);
-        let logits = t.fuse.forward(&mut tape, both);
-        tape.value(logits).data().to_vec()
-    }
 }
 
 #[cfg(test)]
@@ -157,6 +133,19 @@ mod tests {
         for (a, b) in tape.value(l).data().iter().zip(&ev) {
             assert!((a - b).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn eval_matches_training_forward() {
+        let m = NeuMfModel::new(task(), 8, 4);
+        let users = [0u32, 5, 9];
+        let items = [1u32, 2, 3];
+        let mut tape = Tape::new();
+        let l = m.forward_logits(&mut tape, Domain::B, &users, &items);
+        let train_scores = tape.value(l).data().to_vec();
+        let eval = m.eval_scores(Domain::B, &users, &items);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&train_scores), bits(&eval));
     }
 
     #[test]

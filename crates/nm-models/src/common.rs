@@ -1,8 +1,6 @@
 //! Shared building blocks for the baseline models.
 
 use crate::{CdrTask, Domain};
-use nm_autograd::{Tape, Var};
-use nm_graph::Csr;
 use nm_tensor::Tensor;
 use std::rc::Rc;
 
@@ -56,14 +54,6 @@ impl SharedUserIndex {
         };
         users.iter().map(|&u| table[u as usize]).collect()
     }
-}
-
-/// Precomputed mean-of-interacted-item features per user (a `Csr`
-/// row-normalized user→item matrix applied to an item embedding table) —
-/// the "interest from history" input used by MiNet and PTUPCDR's
-/// characteristic encoder.
-pub fn user_history_mean(tape: &mut Tape, adj: &Rc<Csr>, adj_t: &Rc<Csr>, item_table: Var) -> Var {
-    tape.spmm(Rc::clone(adj), Rc::clone(adj_t), item_table)
 }
 
 /// Builds the 0/1 target tensor for a batch's labels.

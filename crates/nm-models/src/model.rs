@@ -81,8 +81,14 @@ pub trait CdrModel: Module {
     fn prepare_eval(&mut self) {}
 
     /// Scores `(user, item)` pairs for ranking evaluation. Called after
-    /// [`CdrModel::prepare_eval`]; must not mutate training state.
-    fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32>;
+    /// [`CdrModel::prepare_eval`]; must not mutate training state. The
+    /// default runs [`CdrModel::forward_logits`] on a throwaway tape;
+    /// models that freeze a snapshot override it.
+    fn eval_scores(&self, domain: Domain, users: &[u32], items: &[u32]) -> Vec<f32> {
+        let mut tape = Tape::new();
+        let l = self.forward_logits(&mut tape, domain, users, items);
+        tape.value(l).data().to_vec()
+    }
 }
 
 #[cfg(test)]

@@ -153,15 +153,6 @@ impl EpochTelemetry {
             self.steps as f64 / (self.wall_us as f64 / 1e6)
         }
     }
-
-    /// Training-example throughput over the epoch's optimization loop.
-    pub fn examples_per_sec(&self) -> f64 {
-        if self.wall_us == 0 {
-            0.0
-        } else {
-            self.examples as f64 / (self.wall_us as f64 / 1e6)
-        }
-    }
 }
 
 /// Result of a full training run.

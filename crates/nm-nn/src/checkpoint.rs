@@ -330,15 +330,6 @@ pub fn encode_v2(
     Ok(buf)
 }
 
-/// Saves a v2 checkpoint (params + sections) atomically to `path`.
-pub fn save_v2_to_file(
-    params: &[&Param],
-    sections: &[(&str, &[u8])],
-    path: &Path,
-) -> Result<(), CheckpointError> {
-    atomic_write_bytes(path, &encode_v2(params, sections)?)
-}
-
 fn read_name<R: Read>(r: &mut R) -> Result<String, CheckpointError> {
     let name_len = read_u32(r)? as usize;
     if name_len > 1 << 20 {

@@ -189,7 +189,12 @@ impl Histogram {
         }
     }
 
-    /// Point-in-time snapshot of the derived statistics.
+    /// Snapshot of the derived statistics. Each field is its own
+    /// `Relaxed` load, and [`Histogram::record`] orders none of its
+    /// stores against another thread's reads, so while records are in
+    /// flight the fields can disagree by those records: a count that
+    /// misses a bucket already counted, a sum ahead of the count. For
+    /// that reason [`RawHistogram`] derives its count from the buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count(),
@@ -513,6 +518,35 @@ mod tests {
         assert_eq!(h.mean(), total / (threads * per) as u64);
         assert_eq!(h.max(), 1_999);
         assert_eq!(h.overflow_count(), 0);
+    }
+
+    #[test]
+    fn concurrent_counting_loses_nothing() {
+        let c = std::sync::Arc::new(Counter::new());
+        let threads = 8;
+        let per = 10_000;
+        let start = std::sync::Arc::new(std::sync::Barrier::new(threads));
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let c = std::sync::Arc::clone(&c);
+                let start = std::sync::Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    for i in 0..per {
+                        if (t + i) % 2 == 0 {
+                            c.inc();
+                        } else {
+                            c.add(3);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for j in handles {
+            j.join().unwrap();
+        }
+        // half the calls add 1, half add 3
+        assert_eq!(c.get(), (threads * per / 2 * 4) as u64);
     }
 
     #[test]

@@ -551,6 +551,54 @@ mod tests {
         assert!(seqs.windows(2).all(|w| w[1] > w[0]), "{seqs:?}");
     }
 
+    /// `emit` takes `seq` and writes the line under one lock, so while
+    /// several threads emit at once the file still reads `seq` 0, 1,
+    /// 2, … in line order, and no emit is lost. Other tests' probes may
+    /// land in the sink while it is installed (see [`scoped`]); they
+    /// take their `seq` in the same order, so only this test's threads
+    /// are counted.
+    #[test]
+    fn concurrent_emits_keep_seq_order_equal_to_file_order() {
+        const THREADS: usize = 4;
+        const EACH: usize = 2_000;
+        let sink = Arc::new(MemorySink::new());
+        let start = Arc::new(std::sync::Barrier::new(THREADS));
+        let tids: Vec<u64> = scoped(sink.clone(), || {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for i in 0..EACH {
+                            event("tick", |e| {
+                                e.u("i", i as u64);
+                            });
+                            let _s = span("tock");
+                        }
+                        tid()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let lines = sink.lines();
+        assert_eq!(lines[0], meta_line(0));
+        let records = crate::parse::parse_trace(&lines[1..].join("\n")).unwrap();
+        let mut per_thread = [0; THREADS];
+        for (at, record) in (1..).zip(&records) {
+            let (seq, tid) = match record {
+                crate::TraceRecord::Span { seq, tid, .. }
+                | crate::TraceRecord::Event { seq, tid, .. } => (*seq, *tid),
+                crate::TraceRecord::Meta { .. } => panic!("second meta line at {at}"),
+            };
+            assert_eq!(seq, at, "line {at} holds seq {seq}");
+            if let Some(t) = tids.iter().position(|&t| t == tid) {
+                per_thread[t] += 1;
+            }
+        }
+        assert_eq!(per_thread, [2 * EACH; THREADS], "one line per emit");
+    }
+
     #[test]
     fn drain_resets_aggregates() {
         let sink = Arc::new(MemorySink::new());

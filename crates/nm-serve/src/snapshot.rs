@@ -36,12 +36,12 @@
 //! is added as `acc + b`, then the activation, and the other layers run
 //! as [`Tensor::matmul`]: the ops and operand order of
 //! `nm_nn::Mlp::forward` on the training tape, so the bits are the same.
-//! A dot head's shard uses [`nm_tensor::vecmat_nt_blocked`], the same
-//! sequential dot.
+//! A dot head's shard scores each item of its range through the same
+//! dot, straight into the shard's output.
 
 use nm_nn::checkpoint::{read_tensor, read_u32, write_tensor, write_u32, CheckpointError};
 use nm_nn::Activation;
-use nm_tensor::{matmul_from, sigmoid_scalar, vecmat_nt_blocked, Tensor};
+use nm_tensor::{matmul_from, sigmoid_scalar, Tensor};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -118,6 +118,13 @@ fn apply_act(act: Activation, xs: &mut [f32]) {
     }
 }
 
+/// The dot head's score `u · v`: one sum over `k` ascending from
+/// `-0.0`, as `Iterator::sum` runs it, with no zero skip. This is
+/// `Tensor::rowwise_dot`'s sum, the training forward of the dot models.
+fn dot(u: &[f32], v: &[f32]) -> f32 {
+    u.iter().zip(v).map(|(a, b)| a * b).sum()
+}
+
 impl HeadKind {
     /// Eq. 20 for parallel `(user, item)` pairs: pair `j` scores row
     /// `users[j]` of `user_tbl` against row `items[j]` of `item_tbl`.
@@ -141,9 +148,10 @@ impl HeadKind {
                     .iter()
                     .zip(items)
                     .map(|(&u, &i)| {
-                        let ur = user_tbl.row_slice(u as usize);
-                        let ir = item_tbl.row_slice(i as usize);
-                        ur.iter().zip(ir).map(|(a, b)| a * b).sum()
+                        dot(
+                            user_tbl.row_slice(u as usize),
+                            item_tbl.row_slice(i as usize),
+                        )
                     })
                     .collect()
             }
@@ -305,22 +313,22 @@ impl Snapshot {
     ) {
         assert_eq!(out.len(), hi - lo, "output buffer size");
         let d = &self.domains[domain];
-        let scores = match &d.head {
+        let u = d.users.row_slice(user as usize);
+        let k = d.items.cols();
+        let rows = &d.items.data()[lo * k..hi * k];
+        match &d.head {
             HeadKind::Dot => {
-                let k = d.items.cols();
-                let rows = &d.items.data()[lo * k..hi * k];
-                vecmat_nt_blocked(d.users.row_slice(user as usize), rows, hi - lo, k, None)
+                assert_eq!(u.len(), k, "embedding dim mismatch");
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = dot(u, &rows[i * k..(i + 1) * k]);
+                }
             }
             HeadKind::Mlp(h) => {
                 // the range is one run, its item rows read in place
-                let k = d.items.cols();
-                let rows = &d.items.data()[lo * k..hi * k];
                 let item = |i: usize, kk: usize| rows[i * k + kk];
-                h.score_user(d.users.row_slice(user as usize), k, item, out);
-                return;
+                h.score_user(u, k, item, out);
             }
-        };
-        out.copy_from_slice(&scores);
+        }
     }
 
     /// Serializes the snapshot.

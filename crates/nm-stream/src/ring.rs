@@ -7,9 +7,9 @@
 //! round. Because its entire history is a fold over the event log,
 //! [`RingBuffer::rebuild`] can reconstruct the exact post-round-`N`
 //! state after a crash or rollback by replaying the log — no separate
-//! persistence needed. (The concurrency-safe producer/consumer/swap
-//! protocol this models is verified schedule-exhaustively by
-//! `nm-check`'s `stream.ring` model.)
+//! persistence needed. The ring is single-threaded: the tuner owns it
+//! and folds each round into it through `&mut self`, so it has no
+//! concurrent protocol to check.
 
 use crate::source::{EventLog, StreamEvent};
 use std::collections::VecDeque;

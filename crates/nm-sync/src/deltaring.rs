@@ -99,11 +99,6 @@ impl<S: Send, D: Send, B: Backend> DeltaRing<S, D, B> {
         self.inner.with(|st| st.ticks.iter().cloned().collect())
     }
 
-    /// Borrow the retained deltas without cloning (dump paths).
-    pub fn with_ticks<R>(&self, f: impl FnOnce(&VecDeque<D>) -> R) -> R {
-        self.inner.with(|st| f(&st.ticks))
-    }
-
     /// Ticks evicted so far.
     pub fn dropped(&self) -> u64 {
         self.inner.with(|st| st.dropped)

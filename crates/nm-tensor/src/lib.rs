@@ -30,7 +30,7 @@ mod tensor;
 pub use activations::{sigmoid_scalar, softmax_in_place, softplus_scalar};
 pub use error::TensorError;
 pub use init::TensorRng;
-pub use matmul::{matmul_from, vecmat_nt_blocked};
+pub use matmul::matmul_from;
 pub use ops::{classify_broadcast, try_classify_broadcast, Broadcast};
 pub use reduce::Axis;
 pub use tensor::Tensor;

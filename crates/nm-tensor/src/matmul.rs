@@ -6,13 +6,12 @@
 //! ascending, and rounds each product before adding it: no `mul_add`
 //! and no FMA contraction, which Rust never introduces on its own.
 //! `matmul` and `matmul_tn` start each sum at `+0.0`. `matmul_nt` starts
-//! at `-0.0`, which is where `Iterator::sum` on `f32` starts; so do
-//! [`Tensor::rowwise_dot`] and [`vecmat_nt_blocked`], which use that
-//! sum. Tiling and blocking split only the output's row and column
-//! axes, so no element's accumulation is ever reordered: the results
-//! are bit-identical to the plain reference loops below, and
-//! checkpoints, snapshots and golden logs do not move when a kernel
-//! changes.
+//! at `-0.0`, which is where `Iterator::sum` on `f32` starts; so does
+//! [`Tensor::rowwise_dot`], which uses that sum. Tiling and blocking
+//! split only the output's row and column axes, so no element's
+//! accumulation is ever reordered: the results are bit-identical to the
+//! plain reference loops below, and checkpoints, snapshots and golden
+//! logs do not move when a kernel changes.
 //!
 //! # Register tiles
 //!
@@ -51,9 +50,16 @@
 //! skipped product can only matter when `b` is infinite or NaN, and
 //! then `0 * b` is NaN and so is the tile's sum. A tile result without
 //! a NaN is therefore exact as it stands. When any output is NaN, the
-//! reference loop recomputes the product over the same accessors. That
-//! also keeps which NaN comes out identical, which IEEE 754 leaves open
-//! when two NaNs meet in an add.
+//! reference loop recomputes the product over the same accessors.
+//!
+//! Which NaN comes out when two NaNs meet in an add is left open by
+//! IEEE 754. On x86 the first operand's NaN survives, and which operand
+//! comes first is the order LLVM emits for each compiled loop, not the
+//! order in the source. So a NaN output of the fallback has the same
+//! bits as another loop's only while both compile to the same operand
+//! order. The tests pin this: their reference loops add in the
+//! fallback's form, `out += product` over a row slice; a scalar
+//! accumulator over the same inputs kept the other NaN.
 //!
 //! # Start accessor
 //!
@@ -374,55 +380,6 @@ pub fn matmul_from(start: &[f32], lhs: impl Fn(usize, usize) -> f32, rhs: &[f32]
     .product::<false>(out);
 }
 
-/// Row-block height for [`vecmat_nt_blocked`]: 64 rows per block, so
-/// `x` stays resident while the block streams past it.
-const VEC_BLOCK: usize = 64;
-
-/// Blocked row-vector × matrix-transpose: dots `x (1 x k)` against each
-/// of the `n_rows` length-`k` rows of `rows`, i.e. `x * rows^T`.
-///
-/// Per output element this is a plain sequential `k`-ascending dot with
-/// no zero skip — the exact accumulation `Tensor::matmul_nt` and the
-/// model layer's embedding dot-product scoring use — so serving scores
-/// match offline scores bit for bit.
-pub fn vecmat_nt_blocked(
-    x: &[f32],
-    rows: &[f32],
-    n_rows: usize,
-    k: usize,
-    bias: Option<&[f32]>,
-) -> Vec<f32> {
-    assert_eq!(x.len(), k, "vecmat_nt_blocked: x len {} != k {k}", x.len());
-    assert_eq!(
-        rows.len(),
-        n_rows * k,
-        "vecmat_nt_blocked: rows len {} != {n_rows}x{k}",
-        rows.len()
-    );
-    let mut out = vec![0.0f32; n_rows];
-    let mut i0 = 0;
-    while i0 < n_rows {
-        let i1 = (i0 + VEC_BLOCK).min(n_rows);
-        for i in i0..i1 {
-            let row = &rows[i * k..(i + 1) * k];
-            out[i] = x.iter().zip(row).map(|(a, b)| a * b).sum();
-        }
-        i0 = i1;
-    }
-    if let Some(b) = bias {
-        assert_eq!(
-            b.len(),
-            n_rows,
-            "vecmat_nt_blocked: bias len {} != n_rows {n_rows}",
-            b.len()
-        );
-        for (ov, &bv) in out.iter_mut().zip(b) {
-            *ov += bv;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,18 +428,6 @@ mod tests {
         let expect = a.matmul(&b.transpose());
         let got = a.matmul_nt(&b);
         assert!(expect.max_abs_diff(&got) < 1e-6);
-    }
-
-    #[test]
-    fn vecmat_nt_blocked_bitwise_matches_matmul_nt() {
-        let mut rng = TensorRng::seed_from(12);
-        let k = 29;
-        let n_rows = 200;
-        let x = Tensor::randn(1, k, 1.0, &mut rng);
-        let rows = Tensor::randn(n_rows, k, 1.0, &mut rng);
-        let reference = x.matmul_nt(&rows);
-        let got = vecmat_nt_blocked(x.data(), rows.data(), n_rows, k, None);
-        assert_eq!(got.as_slice(), reference.data(), "must match bit for bit");
     }
 
     /// A seeded `r x c` operand of normal values, about a quarter of

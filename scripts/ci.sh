@@ -33,8 +33,9 @@ if [[ "${MIRI:-0}" == "1" ]]; then
   # Optional deep pass: interpret the lock-free nm-obs atomics and the
   # nm-sync concurrent cores under Miri. Needs a nightly toolchain with
   # the miri component installed; when either is missing we warn and
-  # skip rather than fail — the virtualized model checking in
-  # `nmcdr check` still covers the same cores on stable.
+  # skip rather than fail. On stable, the virtualized model checking in
+  # `nmcdr check` still covers the nm-sync cores, but not the nm-obs
+  # atomics, which only the nm-obs unit tests exercise.
   if cargo +nightly miri --version >/dev/null 2>&1; then
     echo "== cargo +nightly miri test -p nm-obs -p nm-sync (MIRI=1) =="
     cargo +nightly miri test -p nm-obs
