@@ -21,9 +21,9 @@
 //!    threads, exhaustive DFS over interleavings with optional
 //!    preemption bounding, deadlock (lost-wakeup) detection. It checks
 //!    only production code: [`sched::cores`] runs the `nm-sync` cores
-//!    (the `nm-serve` coalescer, connection gate, exemplar ring,
-//!    breaker bank and respawn path, and the `nm-obs` sampler ring)
-//!    under a virtual backend.
+//!    (the `nm-serve` coalescer, connection gate, exemplar ring and
+//!    breaker bank, and the `nm-obs` sampler ring) under a virtual
+//!    backend.
 //!
 //! Every pass reports [`Diagnostic`]s instead of panicking; the
 //! negative-test suite (`tests/negative_suite.rs`) seeds one defect per

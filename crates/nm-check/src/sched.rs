@@ -2,8 +2,8 @@
 //! enumeration over the production concurrency code.
 //!
 //! [`virt::explore_virtual`] runs the *actual* `nm-sync` cores —
-//! coalescer, connection gate, exemplar ring, breaker bank, respawn
-//! path, sampler ring — under a virtual [`nm_sync::Backend`] whose
+//! coalescer, connection gate, exemplar ring, breaker bank, sampler
+//! ring — under a virtual [`nm_sync::Backend`] whose
 //! blocking ops are the scheduling points (harnesses in [`cores`]). It
 //! searches every schedule — every order in which runnable threads can
 //! be stepped — depth first, optionally bounded by a preemption budget

@@ -17,16 +17,13 @@
 use super::virt::{VirtSpec, VirtualBackend};
 use nm_sync::{
     AtomicU64Cell, Backend, BatchQueue, BreakerBank, BreakerBug, BreakerConfig, BreakerState,
-    ChildCell, CoalesceBug, ConnGate, DeltaBug, DeltaRing, GateBug, Ranked, RespawnBug,
-    RespawnCore, RingBug, Slot, SlowRing,
+    CoalesceBug, ConnGate, DeltaBug, DeltaRing, GateBug, Ranked, RingBug, Slot, SlowRing,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 type VB = VirtualBackend;
 type Threads = Vec<Box<dyn FnOnce() + Send>>;
-
-const NO_KILL: u64 = u64::MAX;
 
 // ---------------------------------------------------------------------
 // 1. Leader–follower coalescer (nm-serve engine request path)
@@ -316,93 +313,7 @@ pub fn breaker(requests: usize, bug: BreakerBug) -> impl Fn() -> VirtSpec {
 }
 
 // ---------------------------------------------------------------------
-// 5. Supervisor respawn (nm-serve supervision monitor loop)
-// ---------------------------------------------------------------------
-
-/// One supervised slot (incarnation ids as handles) killed once by a
-/// crasher thread, watched by `monitors` concurrent sweeps over a real
-/// [`RespawnCore`]. Invariant: one crash buys exactly one respawn, no
-/// matter how the sweeps interleave.
-pub fn supervisor(monitors: usize, bug: RespawnBug) -> impl Fn() -> VirtSpec {
-    move || {
-        let core: Arc<RespawnCore<u64, VB>> =
-            Arc::new(RespawnCore::with_bug(vec![ChildCell::new(Some(0))], bug));
-        // Incarnation bookkeeping: `dead` is the killed generation
-        // (NO_KILL = none yet), `next_gen` numbers respawned handles.
-        let dead = Arc::new(AtomicU64::new(NO_KILL));
-        let next_gen = Arc::new(AtomicU64::new(1));
-        let respawns = Arc::new(AtomicU64::new(0));
-        let quarantines = Arc::new(AtomicU64::new(0));
-        let mut threads: Threads = Vec::new();
-        {
-            // The crasher: kill generation 0, wake the monitors.
-            let core = Arc::clone(&core);
-            let dead = Arc::clone(&dead);
-            threads.push(Box::new(move || {
-                dead.store(0, Ordering::Relaxed);
-                core.notify();
-            }));
-        }
-        for _ in 0..monitors {
-            let core = Arc::clone(&core);
-            let dead = Arc::clone(&dead);
-            let next_gen = Arc::clone(&next_gen);
-            let respawns = Arc::clone(&respawns);
-            let quarantines = Arc::clone(&quarantines);
-            threads.push(Box::new(move || {
-                // Sleep until the kill lands (the poll-loop sleep of the
-                // production monitor, compressed to its wakeup edge),
-                // then run one liveness sweep.
-                core.wait(|_ch| (dead.load(Ordering::Relaxed) != NO_KILL).then_some(()));
-                let d = Arc::clone(&dead);
-                let g = Arc::clone(&next_gen);
-                let r = Arc::clone(&respawns);
-                core.scan(
-                    || false,
-                    |h| *h == d.load(Ordering::Relaxed),
-                    |_corpse| {},
-                    3,
-                    |_i, _attempt| {
-                        r.fetch_add(1, Ordering::Relaxed);
-                        Some(g.fetch_add(1, Ordering::Relaxed))
-                    },
-                    |_i, _restarts| {
-                        quarantines.fetch_add(1, Ordering::Relaxed);
-                    },
-                );
-            }));
-        }
-        VirtSpec {
-            threads,
-            final_check: Box::new(move || {
-                let n = respawns.load(Ordering::Relaxed);
-                if n != 1 {
-                    return Err(format!(
-                        "double restart: {n} respawns for one crash \
-                         (dead-check and respawn not atomic)"
-                    ));
-                }
-                if quarantines.load(Ordering::Relaxed) != 0 {
-                    return Err("slot quarantined with budget to spare".into());
-                }
-                core.with(|ch| {
-                    let c = &ch[0];
-                    if c.restarts != 1 {
-                        return Err(format!("restart counter {} for one crash", c.restarts));
-                    }
-                    match c.handle {
-                        Some(h) if h != 0 => Ok(()),
-                        Some(_) => Err("slot still holds the dead incarnation".into()),
-                        None => Err("slot empty at rest".into()),
-                    }
-                })
-            }),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 6. Telemetry sampler ring (nm-obs flight recorder)
+// 5. Telemetry sampler ring (nm-obs flight recorder)
 // ---------------------------------------------------------------------
 
 /// `writers` threads bump a shared (virtual-atomic) counter while a

@@ -19,12 +19,11 @@
 //! 10. double dispatch          -> sched final-state
 //! 14. connection over-admission-> sched final-state
 //! 16. double half-open probe   -> sched final-state
-//! 17. non-atomic respawn check -> sched final-state
 //! 18. over-capacity ring       -> sched final-state
 //! 19. watermark re-read leak   -> sched final-state
 //! ```
 //!
-//! Items 9, 10, 14 and 16–19 seed their bug into the *production*
+//! Items 9, 10, 14, 16, 18 and 19 seed their bug into the *production*
 //! `nm-sync` core (via its default-off bug knob) and model-check the
 //! real generic code under `VirtualBackend`.
 
@@ -33,7 +32,7 @@ use nm_check::sched::virt::explore_virtual;
 use nm_check::sched::{cores, ExploreOpts};
 use nm_check::shape::{compare_symbolic, verify_op_coverage, verify_reachability, verify_trace};
 use nm_check::{lint, Diagnostic};
-use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RespawnBug, RingBug};
+use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RingBug};
 
 fn leaf(r: usize, c: usize) -> TraceNode {
     TraceNode {
@@ -328,15 +327,4 @@ fn seeded_sampler_watermark_reread_caught() {
     );
     let v = r.violation.expect("leaked deltas must surface");
     assert!(v.message.contains("leaks deltas"), "{}", v.message);
-}
-
-#[test]
-fn seeded_nonatomic_respawn_caught() {
-    // The real `RespawnCore::scan` with `RespawnBug::SplitRespawn`: the
-    // dead-check and the reap+respawn run in separate lock regions, so
-    // two concurrent monitor sweeps both observe the same corpse and
-    // both respawn it.
-    let r = explore_virtual(cores::supervisor(2, RespawnBug::SplitRespawn), &vopts());
-    let v = r.violation.expect("double restart must surface");
-    assert!(v.message.contains("double restart"), "{}", v.message);
 }

@@ -1,6 +1,6 @@
-//! Positive half of the concurrency checking: every production
-//! `nm-sync` core (coalescer, connection gate, exemplar ring, breaker,
-//! supervisor, sampler ring) passes every explored schedule, and the
+//! Positive half of the concurrency checking: each of the five
+//! production `nm-sync` cores (coalescer, connection gate, exemplar
+//! ring, breaker, sampler ring) passes every explored schedule, and the
 //! schedule space is large enough (>= 1000 distinct schedules per core,
 //! the ci.sh acceptance bar) that "no violation" is a meaningful
 //! statement. Each core is checked directly: the *production* generic
@@ -9,7 +9,7 @@
 
 use nm_check::sched::virt::{explore_virtual, VirtSpec};
 use nm_check::sched::{cores, ExploreOpts};
-use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RespawnBug, RingBug};
+use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RingBug};
 
 fn assert_clean(name: &str, bound: Option<u32>, mk: impl Fn() -> VirtSpec) {
     let opts = ExploreOpts {
@@ -57,15 +57,6 @@ fn exemplar_ring_real_core_all_schedules_clean() {
 #[test]
 fn breaker_real_core_all_schedules_clean() {
     assert_clean("breaker", Some(2), cores::breaker(4, BreakerBug::None));
-}
-
-#[test]
-fn supervisor_real_core_all_schedules_clean() {
-    assert_clean(
-        "supervisor",
-        Some(2),
-        cores::supervisor(3, RespawnBug::None),
-    );
 }
 
 #[test]

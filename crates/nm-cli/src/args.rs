@@ -1,11 +1,14 @@
 //! Dependency-free `--key value` argument parsing.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// Parsed `--key value` arguments (flags without values store `"true"`).
 #[derive(Debug, Default)]
 pub struct Args {
     values: HashMap<String, String>,
+    /// Every key the command has asked for, present or not.
+    read: RefCell<HashSet<String>>,
 }
 
 impl Args {
@@ -34,11 +37,27 @@ impl Args {
                 }
             }
         }
-        Ok(Args { values })
+        Ok(Args {
+            values,
+            read: RefCell::default(),
+        })
     }
 
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.values.get(key).map(|s| s.as_str())
+    }
+
+    /// Fails on a given option the command never read. Commands call
+    /// this once they have read every option, before doing any work,
+    /// so a misspelled `--scael` is an error rather than a silent
+    /// default.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self.values.keys().filter(|k| !read.contains(*k)).min() {
+            Some(key) => Err(format!("unknown option --{key}")),
+            None => Ok(()),
+        }
     }
 
     /// Required string option.

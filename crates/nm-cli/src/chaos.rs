@@ -10,7 +10,7 @@
 //! `--require-injections/--require-breaker-opens/--require-degraded`
 //! turn the printed report into a CI gate (non-zero exit when unmet),
 //! and `--trace-out` captures the first run's schema-v1 trace
-//! (`chaos.inject`, `serve.restart`, breaker transitions) for
+//! (`chaos.inject` per injected fault, breaker transitions) for
 //! `nmcdr obs validate`.
 
 use crate::args::Args;
@@ -28,13 +28,8 @@ use std::time::Duration;
 
 /// Counters whose values depend on thread scheduling (or wall clock)
 /// rather than the fault schedule alone; excluded from the determinism
-/// comparison but still shown in the report.
-const SCHED_DEPENDENT: [&str; 4] = [
-    "serve.worker.restarts",
-    "serve.worker.quarantined",
-    "serve.accept.restarts",
-    "obs.self_us",
-];
+/// comparison and from the recorded series.
+const SCHED_DEPENDENT: [&str; 2] = ["serve.accept.restarts", "obs.self_us"];
 
 struct Drill {
     transcript: Vec<String>,
@@ -115,6 +110,51 @@ pub fn chaos(args: &Args) -> Result<(), String> {
     if !clean && !cfg.enabled() {
         return Err("all fault rates are zero; nothing to drill (did you mean --clean?)".into());
     }
+    // The flight recorder ticks on the request ordinal, so the dump is
+    // part of the determinism contract; wall-clock and scheduling-
+    // dependent metrics are excluded from the recorded series.
+    let mut exclude: Vec<String> = vec!["serve.latency_us".into()];
+    exclude.extend(SCHED_DEPENDENT.iter().map(|s| s.to_string()));
+    let engine_cfg = EngineConfig {
+        n_workers: args.parse_or("workers", 2)?,
+        shard_items: args.parse_or("shard-items", 32)?,
+        resilience: ResilienceConfig {
+            shard_retries: args.parse_or("retries", 1)?,
+            breaker: BreakerConfig {
+                failure_threshold: args.parse_or("breaker-threshold", 2)?,
+                cooldown_passes: args.parse_or("breaker-cooldown", 4)?,
+            },
+            ..Default::default()
+        },
+        chaos: cfg.enabled().then(|| cfg.clone()),
+        telemetry: nm_obs::TelemetryConfig {
+            capacity: args.parse_or("series-capacity", 64)?,
+            exclude,
+            slos: chaos_slos(),
+        },
+        ..Default::default()
+    };
+    let server_cfg = ServerConfig {
+        // Forced expiry is the only deadline path the drill wants;
+        // a generous wall-clock deadline keeps slow machines from
+        // adding schedule-dependent "late" degrades.
+        deadline: Duration::from_secs(30),
+        max_frame_bytes: 4096,
+        sample_every: args.parse_or("sample-every", 8)?,
+        ..Default::default()
+    };
+    let trace_out = args.get("trace-out").map(std::path::PathBuf::from);
+    let series_out = args.get("series-out");
+    let user_snapshot = args.get("snapshot");
+    let mut floors = Vec::new();
+    for (flag, label) in [
+        ("require-injections", "injections"),
+        ("require-breaker-opens", "breaker opens"),
+        ("require-degraded", "degraded responses"),
+    ] {
+        floors.push((flag, label, args.parse_or::<u64>(flag, 0)?));
+    }
+    args.reject_unread()?;
 
     // Injected worker panics go through the normal panic machinery
     // (that is the point), but the default hook would print a backtrace
@@ -130,7 +170,6 @@ pub fn chaos(args: &Args) -> Result<(), String> {
         }
     }));
 
-    let trace_out = args.get("trace-out").map(std::path::PathBuf::from);
     if let Some(path) = &trace_out {
         nm_obs::trace::init_file(path)
             .map_err(|e| format!("cannot open trace sink '{}': {e}", path.display()))?;
@@ -141,7 +180,7 @@ pub fn chaos(args: &Args) -> Result<(), String> {
     // again when the user brought their own).
     let dir = std::env::temp_dir().join(format!("nmcdr-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("scratch dir: {e}"))?;
-    let (snap, reload_path) = match args.get("snapshot") {
+    let (snap, reload_path) = match user_snapshot {
         Some(path) => {
             let s = Snapshot::load_from_file(Path::new(path))
                 .map_err(|e| format!("cannot load snapshot '{path}': {e}"))?;
@@ -168,7 +207,7 @@ pub fn chaos(args: &Args) -> Result<(), String> {
     );
 
     let run = |tag: &str| -> Result<Drill, String> {
-        let d = drill(&snap, &reload_path, cfg.clone(), requests, args)?;
+        let d = drill(&snap, &reload_path, &engine_cfg, &server_cfg, requests)?;
         println!("  run {tag}: {} responses recorded", d.transcript.len());
         Ok(d)
     };
@@ -275,7 +314,7 @@ pub fn chaos(args: &Args) -> Result<(), String> {
             println!("  {line}");
         }
     }
-    if let Some(path) = args.get("series-out") {
+    if let Some(path) = series_out {
         std::fs::write(path, &first.series)
             .map_err(|e| format!("cannot write series '{path}': {e}"))?;
         println!(
@@ -291,12 +330,8 @@ pub fn chaos(args: &Args) -> Result<(), String> {
         );
     }
 
-    for (flag, value, label) in [
-        ("require-injections", injected, "injections"),
-        ("require-breaker-opens", breaker_opens, "breaker opens"),
-        ("require-degraded", degraded, "degraded responses"),
-    ] {
-        let want: u64 = args.parse_or(flag, 0)?;
+    for ((flag, label, want), value) in floors.into_iter().zip([injected, breaker_opens, degraded])
+    {
         if value < want {
             return Err(format!("only {value} {label}, --{flag} {want} not met"));
         }
@@ -321,54 +356,16 @@ fn synthetic_snapshot(seed: u64) -> Snapshot {
 fn drill(
     snap: &Snapshot,
     reload_path: &Path,
-    chaos: ChaosConfig,
+    engine_cfg: &EngineConfig,
+    server_cfg: &ServerConfig,
     requests: usize,
-    args: &Args,
 ) -> Result<Drill, String> {
-    // The flight recorder ticks on the request ordinal, so the dump is
-    // part of the determinism contract; wall-clock and scheduling-
-    // dependent metrics are excluded from the recorded series.
-    let mut exclude: Vec<String> = vec!["serve.latency_us".into()];
-    exclude.extend(SCHED_DEPENDENT.iter().map(|s| s.to_string()));
     let engine = Arc::new(
-        Engine::new(
-            snap.clone(),
-            EngineConfig {
-                n_workers: args.parse_or("workers", 2)?,
-                shard_items: args.parse_or("shard-items", 32)?,
-                resilience: ResilienceConfig {
-                    shard_retries: args.parse_or("retries", 1)?,
-                    breaker: BreakerConfig {
-                        failure_threshold: args.parse_or("breaker-threshold", 2)?,
-                        cooldown_passes: args.parse_or("breaker-cooldown", 4)?,
-                    },
-                    ..Default::default()
-                },
-                chaos: chaos.enabled().then_some(chaos),
-                telemetry: nm_obs::TelemetryConfig {
-                    capacity: args.parse_or("series-capacity", 64)?,
-                    exclude,
-                    slos: chaos_slos(),
-                },
-                ..Default::default()
-            },
-        )
-        .map_err(|e| format!("invalid snapshot: {e}"))?,
+        Engine::new(snap.clone(), engine_cfg.clone())
+            .map_err(|e| format!("invalid snapshot: {e}"))?,
     );
-    let mut server = Server::start(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ServerConfig {
-            // Forced expiry is the only deadline path the drill wants;
-            // a generous wall-clock deadline keeps slow machines from
-            // adding schedule-dependent "late" degrades.
-            deadline: Duration::from_secs(30),
-            max_frame_bytes: 4096,
-            sample_every: args.parse_or("sample-every", 8)?,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("cannot start drill server: {e}"))?;
+    let mut server = Server::start(Arc::clone(&engine), "127.0.0.1:0", server_cfg.clone())
+        .map_err(|e| format!("cannot start drill server: {e}"))?;
     let addr = server.local_addr();
 
     let connect = || -> Result<(TcpStream, BufReader<TcpStream>), String> {

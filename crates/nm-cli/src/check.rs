@@ -15,8 +15,8 @@
 //! 3. **Workspace lint** against the checked-in allowlist
 //!    (`scripts/lint_allowlist.tsv`); `--fix-allowlist` regenerates it.
 //! 4. **Concurrency model checking**, requiring >= 1000 distinct
-//!    schedules per core. The `nm-sync` cores (coalescer, connection
-//!    gate, exemplar ring, sampler ring, breaker, supervisor) are
+//!    schedules per core. The five `nm-sync` cores (coalescer,
+//!    connection gate, exemplar ring, sampler ring, breaker) are
 //!    checked directly: the production generic code instantiated with
 //!    `VirtualBackend`, every blocking/atomic op a scheduling point.
 //!
@@ -36,7 +36,7 @@ use nm_data::Scenario;
 use nm_models::CdrModel;
 use nm_nn::checkpoint::{read_tensor, read_u32};
 use nm_optim::{Adam, Optimizer};
-use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RespawnBug, RingBug};
+use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RingBug};
 use nmcdr_core::NmcdrModel;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -51,6 +51,9 @@ pub fn check(args: &Args) -> Result<(), String> {
         .get("skip")
         .map(|s| s.split(',').map(|x| x.trim().to_string()).collect())
         .unwrap_or_default();
+    let fix_allowlist = args.flag("fix-allowlist");
+    let json_path = args.get("json");
+    args.reject_unread()?;
 
     let mut diags: Vec<Diagnostic> = Vec::new();
 
@@ -58,17 +61,13 @@ pub fn check(args: &Args) -> Result<(), String> {
         diags.extend(shape_stage()?);
     }
     if !skip.contains("lint") {
-        diags.extend(lint_stage(
-            &root,
-            &allowlist_path,
-            args.flag("fix-allowlist"),
-        )?);
+        diags.extend(lint_stage(&root, &allowlist_path, fix_allowlist)?);
     }
     if !skip.contains("sched") {
         diags.extend(sched_stage());
     }
 
-    if let Some(json_path) = args.get("json") {
+    if let Some(json_path) = json_path {
         std::fs::write(json_path, diagnostics_to_json(&diags))
             .map_err(|e| format!("writing {json_path}: {e}"))?;
         println!("[check] findings report written to {json_path}");
@@ -445,12 +444,6 @@ fn sched_stage() -> Vec<Diagnostic> {
         "serve.breaker",
         Some(2),
         cores::breaker(4, BreakerBug::None),
-    );
-    run_sched(
-        &mut diags,
-        "serve.supervisor",
-        Some(2),
-        cores::supervisor(3, RespawnBug::None),
     );
     diags
 }

@@ -8,7 +8,6 @@ use nm_models::{train_joint_ft, CdrModel, CdrTask, FtConfig, TaskConfig};
 use nm_obs::json::Json;
 use nmcdr_core::{Ablation, NmcdrModel};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 pub fn print_help() {
     println!(
@@ -189,50 +188,59 @@ fn scenario_from(args: &Args) -> Result<Scenario, String> {
     Scenario::parse(name).ok_or_else(|| format!("unknown scenario '{name}'"))
 }
 
-/// Loads the dataset either from a scenario generator or from log files.
-fn dataset_from(args: &Args, profile: &ExpProfile) -> Result<CdrDataset, String> {
-    let data = if let (Some(pa), Some(pb)) = (args.get("domain-a"), args.get("domain-b")) {
-        let alignment = args.get("alignment").map(PathBuf::from);
-        nm_data::io::load_cdr_dataset("A", Path::new(pa), "B", Path::new(pb), alignment.as_deref())
-            .map_err(|e| format!("cannot load interaction logs '{pa}' / '{pb}': {e}"))?
-    } else {
-        let scenario = scenario_from(args)?;
-        let mut cfg = scenario.config(profile.scale);
-        cfg.seed ^= profile.seed;
-        generate_dataset(&cfg)
+type DatasetLoader = Box<dyn FnOnce() -> Result<CdrDataset, String>>;
+
+/// Reads the dataset options. The returned loader generates the
+/// scenario or loads the log files, so a command can check all its
+/// options before that work.
+fn dataset_from(args: &Args, profile: &ExpProfile) -> Result<DatasetLoader, String> {
+    let load: DatasetLoader = match (args.get("domain-a"), args.get("domain-b")) {
+        (Some(pa), Some(pb)) => {
+            let (pa, pb) = (pa.to_string(), pb.to_string());
+            let alignment = args.get("alignment").map(PathBuf::from);
+            Box::new(move || {
+                nm_data::io::load_cdr_dataset(
+                    "A",
+                    Path::new(&pa),
+                    "B",
+                    Path::new(&pb),
+                    alignment.as_deref(),
+                )
+                .map_err(|e| format!("cannot load interaction logs '{pa}' / '{pb}': {e}"))
+            })
+        }
+        _ => {
+            let mut cfg = scenario_from(args)?.config(profile.scale);
+            cfg.seed ^= profile.seed;
+            Box::new(move || Ok(generate_dataset(&cfg)))
+        }
     };
     let overlap: f64 = args.parse_or("overlap", 1.0)?;
     let density: f64 = args.parse_or("density", 1.0)?;
-    let mut data = data;
-    if overlap < 1.0 {
-        data = data.with_overlap_ratio(overlap, profile.seed);
-    }
-    if density < 1.0 {
-        data = data.with_density(density, 2, profile.seed);
-    }
-    Ok(data)
+    let seed = profile.seed;
+    Ok(Box::new(move || {
+        let mut data = load()?;
+        if overlap < 1.0 {
+            data = data.with_overlap_ratio(overlap, seed);
+        }
+        if density < 1.0 {
+            data = data.with_density(density, 2, seed);
+        }
+        Ok(data)
+    }))
 }
 
-fn build_model(
-    args: &Args,
-    task: Rc<CdrTask>,
-    profile: &ExpProfile,
-) -> Result<Box<dyn CdrModel>, String> {
-    let name = args.get("model").unwrap_or("NMCDR");
-    let kind = ModelKind::parse(name).ok_or_else(|| format!("unknown model '{name}'"))?;
-    Ok(match kind {
-        ModelKind::Nmcdr => Box::new(NmcdrModel::new(
-            task,
-            nmcdr_config(profile, Ablation::none()),
-        )),
-        other => other.build(task, profile),
-    })
+/// The `--model` option, `default` when absent.
+fn model_kind(args: &Args, default: &str) -> Result<ModelKind, String> {
+    let name = args.get("model").unwrap_or(default);
+    ModelKind::parse(name).ok_or_else(|| format!("unknown model '{name}'"))
 }
 
 pub fn generate(args: &Args) -> Result<(), String> {
     let profile = profile_from(args)?;
     let scenario = scenario_from(args)?;
     let out = PathBuf::from(args.required("out")?);
+    args.reject_unread()?;
     std::fs::create_dir_all(&out)
         .map_err(|e| format!("cannot create output directory '{}': {e}", out.display()))?;
     let mut cfg = scenario.config(profile.scale);
@@ -272,12 +280,28 @@ pub fn generate(args: &Args) -> Result<(), String> {
 pub fn train(args: &Args) -> Result<(), String> {
     let profile = profile_from(args)?;
     let data = dataset_from(args, &profile)?;
-    let mut tc = task_config(&profile);
+    let kind = model_kind(args, "NMCDR")?;
     // --early-stop enables a validation split + patience-2 early stopping
     let early_stop = args.flag("early-stop");
+    let profile_out = args.get("profile-out").map(PathBuf::from);
+    let ft = FtConfig {
+        checkpoint: args.get("checkpoint").map(PathBuf::from),
+        checkpoint_every: args.parse_or("checkpoint-every", 1)?,
+        resume: args.flag("resume"),
+        max_rollbacks: args.parse_or("max-rollbacks", 3)?,
+        ..Default::default()
+    };
+    let trace_out = args.get("trace-out").map(PathBuf::from);
+    args.reject_unread()?;
+    if ft.resume && ft.checkpoint.is_none() {
+        return Err(
+            "--resume needs --checkpoint <file> pointing at the checkpoint to resume from".into(),
+        );
+    }
+    let mut tc = task_config(&profile);
     tc.validation = early_stop;
-    let task = CdrTask::build(data, tc);
-    let mut model = build_model(args, task, &profile)?;
+    let task = CdrTask::build(data()?, tc);
+    let mut model = kind.build(task, &profile);
     println!(
         "training {} ({} epochs, dim {}, lr {})",
         model.name(),
@@ -289,21 +313,7 @@ pub fn train(args: &Args) -> Result<(), String> {
     if early_stop {
         train_cfg.early_stop_patience = 2;
     }
-    let profile_out = args.get("profile-out").map(PathBuf::from);
     train_cfg.profile = profile_out.is_some();
-    let ft = FtConfig {
-        checkpoint: args.get("checkpoint").map(PathBuf::from),
-        checkpoint_every: args.parse_or("checkpoint-every", 1)?,
-        resume: args.flag("resume"),
-        max_rollbacks: args.parse_or("max-rollbacks", 3)?,
-        ..Default::default()
-    };
-    if ft.resume && ft.checkpoint.is_none() {
-        return Err(
-            "--resume needs --checkpoint <file> pointing at the checkpoint to resume from".into(),
-        );
-    }
-    let trace_out = args.get("trace-out").map(PathBuf::from);
     if let Some(path) = &trace_out {
         nm_obs::trace::init_file(path)
             .map_err(|e| format!("cannot open trace sink '{}': {e}", path.display()))?;
@@ -337,8 +347,8 @@ pub fn train(args: &Args) -> Result<(), String> {
         "{} parameters, {:.4}s/step",
         stats.param_count, stats.secs_per_step
     );
-    if let Some(path) = args.get("checkpoint") {
-        println!("checkpoint saved to {path}");
+    if let Some(path) = &ft.checkpoint {
+        println!("checkpoint saved to {}", path.display());
     }
     if let Some(path) = &trace_out {
         println!(
@@ -371,9 +381,11 @@ pub fn train(args: &Args) -> Result<(), String> {
 pub fn evaluate(args: &Args) -> Result<(), String> {
     let profile = profile_from(args)?;
     let data = dataset_from(args, &profile)?;
-    let task = CdrTask::build(data, task_config(&profile));
-    let mut model = build_model(args, task, &profile)?;
+    let kind = model_kind(args, "NMCDR")?;
     let ckpt = args.required("checkpoint")?;
+    args.reject_unread()?;
+    let task = CdrTask::build(data()?, task_config(&profile));
+    let mut model = kind.build(task, &profile);
     nm_nn::checkpoint::load_from_file(&model.params(), Path::new(ckpt)).map_err(|e| {
         format!(
             "cannot load checkpoint '{ckpt}' for {}: {e} \
@@ -396,6 +408,7 @@ pub fn evaluate(args: &Args) -> Result<(), String> {
 pub fn stats(args: &Args) -> Result<(), String> {
     let profile = profile_from(args)?;
     let scenario = scenario_from(args)?;
+    args.reject_unread()?;
     let mut cfg = scenario.config(profile.scale);
     cfg.seed ^= profile.seed;
     let data = generate_dataset(&cfg);
@@ -426,12 +439,13 @@ pub fn snapshot(args: &Args) -> Result<(), String> {
     use nm_serve::FrozenModel;
     let profile = profile_from(args)?;
     let data = dataset_from(args, &profile)?;
-    let task = CdrTask::build(data, task_config(&profile));
     let out = PathBuf::from(args.required("out")?);
-    let name = args.get("model").unwrap_or("NMCDR");
-    let kind = ModelKind::parse(name).ok_or_else(|| format!("unknown model '{name}'"))?;
+    let kind = model_kind(args, "NMCDR")?;
+    let checkpoint = args.get("checkpoint");
+    args.reject_unread()?;
+    let task = CdrTask::build(data()?, task_config(&profile));
     let load = |params: &[&nm_nn::Param]| -> Result<(), String> {
-        if let Some(path) = args.get("checkpoint") {
+        if let Some(path) = checkpoint {
             nm_nn::checkpoint::load_from_file(params, Path::new(path)).map_err(|e| {
                 format!(
                     "cannot load checkpoint '{path}': {e} \
@@ -489,7 +503,6 @@ pub fn stream(args: &Args) -> Result<(), String> {
     use nm_stream::{DriftConfig, ShiftSchedule, SourceConfig, StreamConfig};
     let profile = profile_from(args)?;
     let data = dataset_from(args, &profile)?;
-    let task = CdrTask::build(data, task_config(&profile));
     let out = PathBuf::from(args.required("out")?);
 
     let shift = match args.get("shift-at") {
@@ -533,14 +546,19 @@ pub fn stream(args: &Args) -> Result<(), String> {
         ..StreamConfig::new(out)
     };
     let warm: usize = args.parse_or("warm-epochs", 0)?;
-    let mut train_cfg = profile.train_config();
     let profile_out = args.get("profile-out").map(PathBuf::from);
+    let trace_out = args.get("trace-out").map(PathBuf::from);
+    let kind = model_kind(args, "HeroGraph")?;
+    let want_swaps: u64 = args.parse_or("require-swaps", 0)?;
+    let want_rollbacks: u64 = args.parse_or("require-rollbacks", 0)?;
+    args.reject_unread()?;
+    let task = CdrTask::build(data()?, task_config(&profile));
+    let mut train_cfg = profile.train_config();
     // The trainer resets its table on every call, so the dump covers
     // exactly the streaming rounds (a --warm-epochs call's drains are
     // returned to drive() and discarded, not accumulated).
     train_cfg.profile = profile_out.is_some();
 
-    let trace_out = args.get("trace-out").map(PathBuf::from);
     if let Some(path) = &trace_out {
         nm_obs::trace::init_file(path)
             .map_err(|e| format!("cannot open trace sink '{}': {e}", path.display()))?;
@@ -559,8 +577,6 @@ pub fn stream(args: &Args) -> Result<(), String> {
         }
         nm_stream::run_stream(&mut model, tc, cfg).map_err(|e| format!("stream run failed: {e}"))
     }
-    let name = args.get("model").unwrap_or("HeroGraph");
-    let kind = ModelKind::parse(name).ok_or_else(|| format!("unknown model '{name}'"))?;
     let report = match kind {
         ModelKind::Nmcdr => drive(
             NmcdrModel::new(task, nmcdr_config(&profile, Ablation::none())),
@@ -635,14 +651,12 @@ pub fn stream(args: &Args) -> Result<(), String> {
             path.display()
         );
     }
-    let want_swaps: u64 = args.parse_or("require-swaps", 0)?;
     if report.swaps < want_swaps {
         return Err(format!(
             "only {} hot-swaps, --require-swaps {want_swaps} not met",
             report.swaps
         ));
     }
-    let want_rollbacks: u64 = args.parse_or("require-rollbacks", 0)?;
     if report.rollbacks < want_rollbacks {
         return Err(format!(
             "only {} rollbacks, --require-rollbacks {want_rollbacks} not met",
@@ -656,10 +670,6 @@ pub fn stream(args: &Args) -> Result<(), String> {
 pub fn serve(args: &Args) -> Result<(), String> {
     use std::sync::Arc;
     let path = args.required("snapshot")?;
-    let snap = nm_serve::Snapshot::load_from_file(Path::new(path)).map_err(|e| {
-        format!("cannot load snapshot '{path}': {e} (export one with 'nmcdr snapshot --out ...')")
-    })?;
-    let model = snap.model.clone();
     // Fault injection is off unless a chaos seed is given; the knob
     // defaults are mild enough for interactive poking.
     let chaos = match args.get("chaos-seed") {
@@ -682,17 +692,22 @@ pub fn serve(args: &Args) -> Result<(), String> {
         chaos,
         ..Default::default()
     };
+    let bind = args.get("bind").unwrap_or("127.0.0.1:7878");
+    // Production telemetry tick source: a clock-driven sampler (default
+    // 1s) keeps the flight recorder and SLO burn rates live for
+    // `nmcdr query --op series`; --sample-ms 0 disables it.
+    let sample_ms: u64 = args.parse_or("sample-ms", 1000)?;
+    args.reject_unread()?;
+    let snap = nm_serve::Snapshot::load_from_file(Path::new(path)).map_err(|e| {
+        format!("cannot load snapshot '{path}': {e} (export one with 'nmcdr snapshot --out ...')")
+    })?;
+    let model = snap.model.clone();
     let n_workers = cfg.n_workers;
     if cfg.chaos.is_some() {
         println!("WARNING: chaos fault injection is ENABLED on this server");
     }
     let engine =
         Arc::new(nm_serve::Engine::new(snap, cfg).map_err(|e| format!("invalid snapshot: {e}"))?);
-    let bind = args.get("bind").unwrap_or("127.0.0.1:7878");
-    // Production telemetry tick source: a clock-driven sampler (default
-    // 1s) keeps the flight recorder and SLO burn rates live for
-    // `nmcdr query --op series`; --sample-ms 0 disables it.
-    let sample_ms: u64 = args.parse_or("sample-ms", 1000)?;
     let server_cfg = nm_serve::ServerConfig {
         sample_interval: (sample_ms > 0).then(|| std::time::Duration::from_millis(sample_ms)),
         ..Default::default()
@@ -745,6 +760,7 @@ pub fn query(args: &Args) -> Result<(), String> {
             ))
         }
     };
+    args.reject_unread()?;
     let stream = std::net::TcpStream::connect(addr)
         .map_err(|e| format!("cannot connect to '{addr}': {e} (is 'nmcdr serve' running?)"))?;
     let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
@@ -778,4 +794,16 @@ pub fn query(args: &Args) -> Result<(), String> {
 /// [`crate::obs`].
 pub fn obs(action: &str, args: &Args) -> Result<(), String> {
     crate::obs::run(action, args)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn misspelled_option_fails_before_any_work() {
+        let argv = ["--scenario", "cloth-sport", "--scael", "0.001"].map(String::from);
+        let args = Args::parse(&argv).expect("well-formed argv");
+        assert_eq!(stats(&args).unwrap_err(), "unknown option --scael");
+    }
 }

@@ -44,6 +44,7 @@ pub fn run(action: &str, args: &Args) -> Result<(), String> {
         return kernel_profile(args);
     }
     let path = args.required("trace")?;
+    args.reject_unread()?;
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace '{path}': {e}"))?;
     let records = parse_trace(&text)?;
@@ -80,28 +81,33 @@ pub fn run(action: &str, args: &Args) -> Result<(), String> {
 /// bytes, so the outputs are golden-fixture testable and CI-gateable.
 fn series(action: &str, args: &Args) -> Result<(), String> {
     let path = args.required("series")?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read series '{path}': {e}"))?;
-    let series =
-        nm_obs::parse_series(&text).map_err(|e| format!("invalid series '{path}': {e}"))?;
+    let load = || -> Result<nm_obs::Series, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read series '{path}': {e}"))?;
+        nm_obs::parse_series(&text).map_err(|e| format!("invalid series '{path}': {e}"))
+    };
     if action == "tail" {
         let window: usize = args.parse_or("window", 20)?;
+        args.reject_unread()?;
         if window == 0 {
             return Err("--window must be at least 1".into());
         }
-        print_piped(&nm_obs::render_tail(&series.ticks, window));
+        print_piped(&nm_obs::render_tail(&load()?.ticks, window));
         return Ok(());
     }
+    let require_clean = args.flag("require-clean");
+    let want: usize = args.parse_or("require-alerts", 0)?;
+    args.reject_unread()?;
+    let series = load()?;
     let report = nm_obs::render_slo_report(&series);
     print_piped(&report);
     let (transitions, _) = nm_obs::evaluate_series(&series);
     let alerts = nm_obs::count_alerts(&transitions);
-    if args.flag("require-clean") && alerts > 0 {
+    if require_clean && alerts > 0 {
         return Err(format!(
             "--require-clean: {alerts} burn-rate alert(s) fired on a run expected to be clean"
         ));
     }
-    let want: usize = args.parse_or("require-alerts", 0)?;
     if alerts < want {
         return Err(format!(
             "only {alerts} burn-rate alert(s) fired, --require-alerts {want} not met"
@@ -134,14 +140,14 @@ fn kernel_profile(args: &Args) -> Result<(), String> {
     let load_dump = |path: &str| -> Result<nm_obs::ProfileDump, String> {
         nm_obs::parse_dump(&read(path)?).map_err(|e| format!("invalid profile dump '{path}': {e}"))
     };
-    let load_timings = |key: &str| -> Result<
+    let load_timings = |trace: Option<&str>| -> Result<
         (
             std::collections::BTreeMap<String, nm_obs::OpTiming>,
             Option<nm_obs::Peaks>,
         ),
         String,
     > {
-        match args.get(key) {
+        match trace {
             Some(path) => nm_obs::profile::parse_trace_timings(&read(path)?)
                 .map_err(|e| format!("invalid trace '{path}': {e}")),
             None => Ok((std::collections::BTreeMap::new(), None)),
@@ -149,18 +155,26 @@ fn kernel_profile(args: &Args) -> Result<(), String> {
     };
 
     let dump_path = args.required("profile")?;
+    let trace = args.get("trace");
+    let compare = match args.get("compare") {
+        Some(old_path) => {
+            let defaults = nm_obs::profile::CompareConfig::default();
+            let cfg = nm_obs::profile::CompareConfig {
+                rel_tol: args.parse_or("rel-tol", defaults.rel_tol)?,
+                abs_floor_ns: args.parse_or::<u64>("abs-floor-us", defaults.abs_floor_ns / 1000)?
+                    * 1000,
+            };
+            Some((old_path, args.get("compare-trace"), cfg))
+        }
+        None => None,
+    };
+    args.reject_unread()?;
     let dump = load_dump(dump_path)?;
-    let (timings, peaks) = load_timings("trace")?;
+    let (timings, peaks) = load_timings(trace)?;
 
-    if let Some(old_path) = args.get("compare") {
+    if let Some((old_path, old_trace, cfg)) = compare {
         let old = load_dump(old_path)?;
-        let (old_timings, _) = load_timings("compare-trace")?;
-        let defaults = nm_obs::profile::CompareConfig::default();
-        let cfg = nm_obs::profile::CompareConfig {
-            rel_tol: args.parse_or("rel-tol", defaults.rel_tol)?,
-            abs_floor_ns: args.parse_or::<u64>("abs-floor-us", defaults.abs_floor_ns / 1000)?
-                * 1000,
-        };
+        let (old_timings, _) = load_timings(old_trace)?;
         let diff = nm_obs::profile::compare(&dump, &timings, &old, &old_timings, &cfg);
         print_piped(&nm_obs::profile::render_verdict(&diff, &cfg));
         if diff.failed() {
@@ -187,6 +201,8 @@ fn flame(args: &Args) -> Result<(), String> {
         None => return Err("missing --in (or --trace)".into()),
     };
     let out_path = args.required("out")?;
+    let collapsed_path = args.get("collapsed");
+    args.reject_unread()?;
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace '{path}': {e}"))?;
     let records = parse_trace(&text)?;
@@ -214,7 +230,7 @@ fn flame(args: &Args) -> Result<(), String> {
 
     let svg = nm_obs::flame::render_svg(&folded);
     std::fs::write(out_path, &svg).map_err(|e| format!("cannot write svg '{out_path}': {e}"))?;
-    if let Some(collapsed_path) = args.get("collapsed") {
+    if let Some(collapsed_path) = collapsed_path {
         std::fs::write(collapsed_path, nm_obs::flame::render_collapsed(&folded))
             .map_err(|e| format!("cannot write collapsed '{collapsed_path}': {e}"))?;
     }

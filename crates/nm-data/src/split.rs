@@ -52,8 +52,7 @@ pub fn leave_one_out(domain: &DomainData, min_train: usize) -> SplitDomain {
     let mut train = Vec::with_capacity(domain.interactions.len());
     let mut test = Vec::new();
     for (u, items) in by_user.iter().enumerate() {
-        if items.len() > min_train {
-            let (last, rest) = items.split_last().expect("non-empty");
+        if let Some((last, rest)) = items.split_last().filter(|_| items.len() > min_train) {
             for &i in rest {
                 train.push((u as u32, i));
             }
@@ -90,8 +89,7 @@ pub fn leave_one_out_with_valid(domain: &DomainData, min_train: usize) -> SplitD
             }
             valid.push((u as u32, items[n - 2]));
             test.push((u as u32, items[n - 1]));
-        } else if items.len() > min_train {
-            let (last, rest) = items.split_last().expect("non-empty");
+        } else if let Some((last, rest)) = items.split_last().filter(|_| items.len() > min_train) {
             for &i in rest {
                 train.push((u as u32, i));
             }

@@ -183,15 +183,7 @@ pub struct TrainStats {
 
 /// Evaluates `model` on both domains' held-out candidates.
 pub fn evaluate_model(model: &mut dyn CdrModel, top_k: usize) -> (RankingSummary, RankingSummary) {
-    model.prepare_eval();
-    let task = model.task().clone();
-    let score_a =
-        |users: &[u32], items: &[u32]| -> Vec<f32> { model.eval_scores(Domain::A, users, items) };
-    let a = evaluate_ranking(&score_a, task.eval(Domain::A), top_k);
-    let score_b =
-        |users: &[u32], items: &[u32]| -> Vec<f32> { model.eval_scores(Domain::B, users, items) };
-    let b = evaluate_ranking(&score_b, task.eval(Domain::B), top_k);
-    (a, b)
+    evaluate_on(model, top_k, false)
 }
 
 /// Evaluates `model` on the *validation* candidates (both domains).
@@ -199,15 +191,28 @@ pub fn evaluate_model_valid(
     model: &mut dyn CdrModel,
     top_k: usize,
 ) -> (RankingSummary, RankingSummary) {
+    evaluate_on(model, top_k, true)
+}
+
+/// Scores each domain's test candidates, or its validation candidates
+/// when `valid` is set, domain A first.
+fn evaluate_on(
+    model: &mut dyn CdrModel,
+    top_k: usize,
+    valid: bool,
+) -> (RankingSummary, RankingSummary) {
     model.prepare_eval();
     let task = model.task().clone();
-    let score_a =
-        |users: &[u32], items: &[u32]| -> Vec<f32> { model.eval_scores(Domain::A, users, items) };
-    let a = evaluate_ranking(&score_a, &task.valid_eval_a, top_k);
-    let score_b =
-        |users: &[u32], items: &[u32]| -> Vec<f32> { model.eval_scores(Domain::B, users, items) };
-    let b = evaluate_ranking(&score_b, &task.valid_eval_b, top_k);
-    (a, b)
+    let model = &*model;
+    let eval = |d: Domain, valid_cases: &[_]| {
+        let cases = if valid { valid_cases } else { task.eval(d) };
+        let score = |users: &[u32], items: &[u32]| model.eval_scores(d, users, items);
+        evaluate_ranking(&score, cases, top_k)
+    };
+    (
+        eval(Domain::A, &task.valid_eval_a),
+        eval(Domain::B, &task.valid_eval_b),
+    )
 }
 
 /// Trains `model` jointly on both domains and evaluates leave-one-out

@@ -359,11 +359,10 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, CheckpointError
         )));
     }
     if version == VERSION_V2 {
-        if bytes.len() < 8 {
+        let Some((body, trailer)) = bytes.split_last_chunk::<8>() else {
             return Err(CheckpointError::Format("truncated file".into()));
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        };
+        let stored = u64::from_le_bytes(*trailer);
         if fnv1a64(body) != stored {
             return Err(CheckpointError::Format(
                 "checksum mismatch (torn write or corruption)".into(),

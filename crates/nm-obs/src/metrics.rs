@@ -7,10 +7,8 @@
 //! `serve.requests`, `serve.cache.hits`, `train.grad_norm`. Histograms
 //! carry their unit as the last path segment (`serve.latency_us`).
 
-use crate::json::escape;
 use nm_sync::backend::lock_recover;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -371,47 +369,6 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-impl RegistrySnapshot {
-    /// The unified JSON snapshot format shared by the `obs` wire
-    /// request and the trace sink (compact, one object).
-    pub fn to_json_string(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}:{v}", escape(k));
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}:{}", escape(k), json_f64(*v));
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{}:{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"overflow_count\":{}}}",
-                escape(k),
-                h.count,
-                h.mean,
-                h.p50,
-                h.p95,
-                h.p99,
-                h.max,
-                h.overflow_count
-            );
-        }
-        s.push_str("}}");
-        s
-    }
-}
-
 /// JSON-safe float formatting (JSON has no NaN/Inf literals).
 pub(crate) fn json_f64(x: f64) -> String {
     if x.is_finite() {
@@ -550,19 +507,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_json_parses_shape() {
+    fn snapshot_names_are_sorted() {
         let r = Registry::new();
         r.counter("b.two").add(2);
         r.counter("a.one").add(1);
-        r.gauge("c.g").set(0.5);
-        r.histogram("d.h", &LATENCY_BOUNDS_US).record(42);
+        r.gauge("d.g");
+        r.gauge("c.g");
+        r.histogram("f.h", &LATENCY_BOUNDS_US);
+        r.histogram("e.h", &LATENCY_BOUNDS_US);
         let snap = r.snapshot();
-        assert_eq!(snap.counters[0].0, "a.one");
-        assert_eq!(snap.counters[1].0, "b.two");
-        let json = snap.to_json_string();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"a.one\":1"));
-        assert!(json.contains("\"overflow_count\":0"));
-        assert!(!json.contains('\n'));
+        let counters: Vec<_> = snap
+            .counters
+            .iter()
+            .map(|(n, v)| (n.as_str(), *v))
+            .collect();
+        assert_eq!(counters, [("a.one", 1), ("b.two", 2)]);
+        let gauges: Vec<_> = snap.gauges.iter().map(|g| g.0.as_str()).collect();
+        assert_eq!(gauges, ["c.g", "d.g"]);
+        let histograms: Vec<_> = snap.histograms.iter().map(|h| h.0.as_str()).collect();
+        assert_eq!(histograms, ["e.h", "f.h"]);
     }
 }

@@ -13,7 +13,7 @@
 //! interactive production serving — so under a fixed seed the recorded
 //! series is a pure function of the workload and two same-seed runs
 //! dump byte-identical series. Wall-clock-dependent metrics (latency
-//! histograms, supervisor restart counts) are excluded per
+//! histograms, accept-loop restart counts) are excluded per
 //! [`RecorderConfig::exclude`] when byte-identity matters; the
 //! recorder's own self-time counter `obs.self_us` is *always* excluded.
 //!

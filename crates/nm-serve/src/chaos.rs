@@ -14,8 +14,8 @@
 //! Fault classes:
 //!
 //! * **worker panic** — a scoring job panics mid-shard; the shard's
-//!   latch guard still counts it down and the supervisor restarts the
-//!   dead worker;
+//!   latch guard still counts it down, and the worker or batch leader
+//!   that ran the job catches the panic and goes on serving;
 //! * **shard stall** — a shard claim fails without doing work
 //!   (modelling a wedged/slow shard, clock-free: no real sleep);
 //! * **torn write / torn read** — a connection's response is cut mid

@@ -3,14 +3,14 @@
 //! Architecture (see DESIGN.md "Serving" and "Failure model & degraded
 //! modes"):
 //!
-//! * a persistent `std::thread` **supervised worker pool**; each
-//!   scoring pass fans out over item **shards** that workers claim off
-//!   an atomic worklist cursor — finished workers steal remaining
-//!   shards, so an uneven shard never idles the rest of the pool. A
-//!   worker that panics *dies* and is restarted by the supervisor with
-//!   seeded backoff (quarantined once its restart budget is spent);
-//!   the batch leader always drains the worklist inline, so scoring
-//!   makes progress even with zero live workers;
+//! * a persistent `std::thread` **worker pool**; each scoring pass
+//!   fans out over item **shards** that workers claim off an atomic
+//!   worklist cursor — finished workers steal remaining shards, so an
+//!   uneven shard never idles the rest of the pool. A job that panics
+//!   is caught where it runs: a worker counts it and goes back to its
+//!   queue, as the batch leader does. The leader always drains the
+//!   worklist inline, so scoring makes progress even when no worker
+//!   thread could be spawned;
 //! * **per-shard resilience**: every claimed shard is wrapped in a
 //!   latch guard (a panicking claim still counts down), failed shards
 //!   are retried with deterministic backoff up to a budget, and a
@@ -54,8 +54,6 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::Duration;
 
-pub use crate::supervise::RestartPolicy;
-
 /// Request-path fault-tolerance knobs (see DESIGN.md "Failure model &
 /// degraded modes").
 #[derive(Debug, Clone)]
@@ -69,8 +67,6 @@ pub struct ResilienceConfig {
     pub backoff_cap: Duration,
     /// Per-shard circuit breaker (threshold 0 disables).
     pub breaker: BreakerConfig,
-    /// Worker restart/quarantine policy.
-    pub restart: RestartPolicy,
 }
 
 impl Default for ResilienceConfig {
@@ -80,7 +76,6 @@ impl Default for ResilienceConfig {
             backoff_base: Duration::from_micros(100),
             backoff_cap: Duration::from_millis(2),
             breaker: BreakerConfig::default(),
-            restart: RestartPolicy::default(),
         }
     }
 }
@@ -155,23 +150,15 @@ fn select_top_k(pool: &mut Vec<(u32, f32)>, k: usize) {
 struct PoolShared {
     jobs: Mutex<VecDeque<Job>>,
     available: Condvar,
+    /// Set under the `jobs` lock, so a worker between its check and its
+    /// wait cannot miss the wakeup.
     shutdown: AtomicBool,
-    /// Workers currently inside their run loop.
-    live: AtomicUsize,
 }
 
-/// One worker thread's run loop. A panicking job kills the worker (the
-/// supervisor decides whether to restart it); the liveness gauge is
-/// maintained by a drop guard so a panic can't leak a stale count.
+/// One worker thread's run loop. A panicking job is counted and the
+/// worker goes back to the queue, as the batch leader does: the shard
+/// guard has already recorded the shard as failed.
 fn worker_main(shared: &PoolShared, panics: &Counter) {
-    struct LiveGuard<'a>(&'a AtomicUsize);
-    impl Drop for LiveGuard<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    shared.live.fetch_add(1, Ordering::AcqRel);
-    let _live = LiveGuard(&shared.live);
     loop {
         let job = {
             let mut q = lock_recover(&shared.jobs);
@@ -186,75 +173,45 @@ fn worker_main(shared: &PoolShared, panics: &Counter) {
             }
         };
         if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            // Die on panic: the shard guard already recorded the shard
-            // as failed; the supervisor restarts (or quarantines) us.
             panics.inc();
-            return;
         }
     }
 }
 
-/// Fixed-size supervised thread pool. Jobs are *helpers*: pure
-/// parallelism for a leader that is draining the same worklist inline,
-/// so a dead/quarantined pool degrades throughput, never liveness.
-struct SupervisedPool {
+/// Fixed-size thread pool. Jobs are *helpers*: pure parallelism for a
+/// leader that is draining the same worklist inline, so a pool short of
+/// threads degrades throughput, never liveness.
+struct WorkerPool {
     shared: Arc<PoolShared>,
-    supervisor: Option<crate::supervise::Supervisor>,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
-impl SupervisedPool {
-    fn new(n: usize, policy: RestartPolicy, stats: &Stats) -> Self {
+impl WorkerPool {
+    /// Spawns `n` workers (at least one); a thread that fails to spawn
+    /// is left out.
+    fn new(n: usize, panics: &Arc<Counter>) -> Self {
         let shared = Arc::new(PoolShared {
             jobs: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            live: AtomicUsize::new(0),
         });
-        let children = (0..n.max(1))
-            .map(|i| {
+        let workers = (0..n.max(1))
+            .filter_map(|i| {
                 let shared = Arc::clone(&shared);
-                let panics = Arc::clone(&stats.worker_panics);
-                crate::supervise::ChildSpec {
-                    name: format!("worker-{i}"),
-                    spawn: Box::new(move || {
-                        let shared = Arc::clone(&shared);
-                        let panics = Arc::clone(&panics);
-                        thread::Builder::new()
-                            .name(format!("nm-serve-worker-{i}"))
-                            .spawn(move || worker_main(&shared, &panics))
-                    }),
-                }
+                let panics = Arc::clone(panics);
+                thread::Builder::new()
+                    .name(format!("nm-serve-worker-{i}"))
+                    .spawn(move || worker_main(&shared, &panics))
+                    .ok()
             })
             .collect();
-        let counters = crate::supervise::SupCounters {
-            restarts: Arc::clone(&stats.worker_restarts),
-            quarantines: Arc::clone(&stats.worker_quarantined),
-        };
-        let supervisor = crate::supervise::Supervisor::start(
-            children,
-            policy,
-            Duration::from_millis(5),
-            counters,
-        );
-        Self {
-            shared,
-            supervisor: Some(supervisor),
-        }
+        Self { shared, workers }
     }
 
-    fn live(&self) -> usize {
-        self.shared.live.load(Ordering::Acquire)
-    }
-
-    fn quarantined(&self) -> usize {
-        self.supervisor.as_ref().map_or(0, |s| s.quarantined())
-    }
-
-    /// Enqueues a helper job. Dropped when no worker is live — the
-    /// leader drains the worklist inline, and a stale helper running
-    /// after the fact no-ops on the exhausted cursor anyway.
+    /// Enqueues a helper job, unless no worker was spawned: the leader
+    /// drains the worklist inline either way.
     fn submit_helper(&self, job: Job) {
-        if self.live() == 0 {
+        if self.workers.is_empty() {
             return;
         }
         lock_recover(&self.shared.jobs).push_back(job);
@@ -262,12 +219,15 @@ impl SupervisedPool {
     }
 }
 
-impl Drop for SupervisedPool {
+impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            let _q = lock_recover(&self.shared.jobs);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
-        if let Some(mut sup) = self.supervisor.take() {
-            sup.stop_and_join();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
     }
 }
@@ -457,7 +417,7 @@ pub struct Engine {
     /// Lock-free mirror of `versioned.epoch` for cheap reads (cache
     /// lookups, stats). Only `reload` writes it, inside the write lock.
     epoch_mirror: AtomicU64,
-    pool: SupervisedPool,
+    pool: WorkerPool,
     /// Per-domain leader–follower coalescers (the generic core in
     /// [`nm_sync::coalesce`], instantiated with the std backend).
     queues: [BatchQueue<Pending, StdBackend>; 2],
@@ -490,7 +450,7 @@ impl Engine {
             .map(|c| Arc::new(Chaos::new(c.clone(), stats.registry())));
         let cache =
             (cfg.cache_capacity > 0).then(|| ShardedLru::new(cfg.cache_capacity, CACHE_SHARDS));
-        let pool = SupervisedPool::new(cfg.n_workers, cfg.resilience.restart.clone(), &stats);
+        let pool = WorkerPool::new(cfg.n_workers, &stats.worker_panics);
         Ok(Self {
             versioned: RwLock::new(Versioned {
                 epoch: 0,
@@ -542,11 +502,6 @@ impl Engine {
     /// Current snapshot epoch (bumped on every [`Engine::reload`]).
     pub fn epoch(&self) -> u64 {
         self.epoch_mirror.load(Ordering::Acquire)
-    }
-
-    /// Scoring workers that exhausted their restart budget.
-    pub fn quarantined_workers(&self) -> usize {
-        self.pool.quarantined()
     }
 
     /// The fault-injection plan, when chaos is enabled.
@@ -942,10 +897,9 @@ impl Engine {
             self.pool
                 .submit_helper(Box::new(move || drain_worklist(&actx)));
         }
-        // The leader drains inline until the cursor is exhausted:
-        // an injected panic kills helper *workers*, but here it is
-        // caught and draining resumes, so a batch completes even
-        // with every worker dead or quarantined.
+        // The leader drains inline until the cursor is exhausted: a
+        // panic is caught here as in the workers and draining resumes,
+        // so a batch completes even with no worker thread spawned.
         while actx.next.load(Ordering::Acquire) < actx.worklist.len() {
             if catch_unwind(AssertUnwindSafe(|| drain_worklist(&actx))).is_err() {
                 self.stats.worker_panics.inc();
@@ -1113,17 +1067,11 @@ mod tests {
         .expect("valid test snapshot")
     }
 
-    /// Fast restart policy + backoffs so chaos tests finish quickly.
+    /// Fast retry backoffs so chaos tests finish quickly.
     fn fast_resilience() -> ResilienceConfig {
         ResilienceConfig {
             backoff_base: Duration::from_micros(50),
             backoff_cap: Duration::from_micros(400),
-            restart: RestartPolicy {
-                max_restarts: 5,
-                backoff_base: Duration::from_micros(200),
-                backoff_cap: Duration::from_millis(2),
-                seed: 1,
-            },
             ..Default::default()
         }
     }
@@ -1605,7 +1553,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_workers_are_quarantined_and_leader_keeps_serving() {
+    fn workers_absorb_their_own_panics_and_keep_serving() {
         let e = Engine::new(
             snapshot(60, 7),
             EngineConfig {
@@ -1623,47 +1571,29 @@ mod tests {
                         failure_threshold: 0, // keep scoring every pass
                         cooldown_passes: 1,
                     },
-                    restart: RestartPolicy {
-                        max_restarts: 1,
-                        backoff_base: Duration::from_micros(100),
-                        backoff_cap: Duration::from_micros(500),
-                        seed: 4,
-                    },
                     ..fast_resilience()
                 },
                 ..Default::default()
             },
         )
         .expect("valid test snapshot");
-        for user in 0..20u32 {
-            let (_, t) = e.topk_traced(0, user % 10, 5);
-            assert_eq!(t.degraded, DegradedKind::Unavailable, "user {user}");
+        for pass in 0..21u32 {
+            let (list, t) = e.topk_traced(0, pass % 10, 5);
+            assert!(list.is_empty(), "pass {pass}");
+            assert_eq!(t.degraded, DegradedKind::Unavailable, "pass {pass}");
         }
-        // Workers die on their first claimed shard; with a budget of 1
-        // the supervisor quarantines them instead of flapping forever.
-        let mut quarantined = 0;
-        for _ in 0..300 {
-            quarantined = e.quarantined_workers();
-            if quarantined >= 1 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
-        assert!(
-            quarantined >= 1,
-            "a poisoned worker must be quarantined, got {quarantined}"
-        );
-        assert!(e.stats().worker_restarts.get() >= 1);
-        // the leader-inline path still answers with zero live workers
-        let (_, t) = e.topk_traced(0, 9, 5);
-        assert_eq!(t.degraded, DegradedKind::Unavailable);
         // With breakers disabled none trips, and every one of the 8
-        // shards (60 items / 8) is attempted, and fails, on all 21 passes.
+        // shards (60 items / 8) is attempted, panics and fails on all 21
+        // passes: one caught panic per failed shard, whichever thread
+        // claimed it.
         let s = e.stats();
         assert_eq!(s.breaker_opens.get(), 0);
-        assert_eq!(s.breaker_half_opens.get(), 0);
         assert_eq!(s.breaker_short_circuits.get(), 0);
         assert_eq!(s.shard_failures.get(), 21 * 8);
+        assert_eq!(s.worker_panics.get(), s.shard_failures.get());
+        // Every worker that caught a panic went back to its queue.
+        let running = e.pool.workers.iter().filter(|w| !w.is_finished()).count();
+        assert_eq!(running, 2, "a worker exited after a caught panic");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   trained model via the [`FrozenModel`] trait;
 //! * [`engine`] — a batched, multi-threaded top-K scoring engine with
 //!   work-stealing over item shards, request coalescing, and a sharded
-//!   LRU result cache;
+//!   LRU result cache; a scoring job that panics is caught by the
+//!   thread that ran it, which counts it and keeps serving;
 //! * [`server`] + [`protocol`] — a `std::net` TCP server speaking
 //!   newline-delimited JSON;
 //! * [`stats`] — QPS counters and latency histograms, registered in a
@@ -15,8 +16,6 @@
 //! * [`reqtrace`] — per-request stage timing, the slowest-N exemplar
 //!   ring, and its rendering to the schema-v1 trace format (served by
 //!   the `trace` op);
-//! * [`supervise`] — a supervision tree for worker threads: restart
-//!   with deterministic backoff under a budget, then quarantine;
 //! * per-shard circuit breakers ([`nm_sync::breaker`]) with
 //!   pass-ordinal (not wall-clock) cooldowns and single-probe half-open
 //!   recovery;
@@ -35,7 +34,6 @@ pub mod reqtrace;
 pub mod server;
 pub mod snapshot;
 pub mod stats;
-pub mod supervise;
 
 pub use cache::{CacheKey, CachedList, ShardedLru};
 pub use chaos::{seeded_backoff, Chaos, ChaosConfig, Deadline};
@@ -46,4 +44,3 @@ pub use reqtrace::{DegradedKind, Exemplar, ExemplarRing, ReqTiming, StageUs};
 pub use server::{Server, ServerConfig};
 pub use snapshot::{DomainSnapshot, FrozenModel, HeadKind, MlpHead, Snapshot};
 pub use stats::{LatencyHistogram, Stats};
-pub use supervise::{ChildSpec, RestartPolicy, SupCounters, Supervisor};

@@ -64,8 +64,8 @@ impl Default for ServerConfig {
 }
 
 /// Accept-loop restarts allowed before giving up (the loop is not
-/// expected to panic; the budget is a backstop, mirroring the worker
-/// supervisor).
+/// expected to panic; the budget is a backstop against a panic that
+/// recurs on every incarnation).
 const ACCEPT_RESTART_BUDGET: u32 = 5;
 
 /// Counting semaphore for connection slots (also used to drain on

@@ -35,14 +35,10 @@ pub struct Stats {
     pub coalesced: Arc<Counter>,
     pub latency: Arc<Histogram>,
     // --- resilience (see DESIGN.md "Failure model & degraded modes") ---
-    /// Scoring jobs that panicked (caught; the worker dies or the
-    /// leader-inline drain absorbs it).
+    /// Scoring jobs that panicked (caught by the worker or the batch
+    /// leader that ran them, which both keep serving).
     pub worker_panics: Arc<Counter>,
-    /// Supervisor restarts of dead scoring workers.
-    pub worker_restarts: Arc<Counter>,
-    /// Workers quarantined after exhausting their restart budget.
-    pub worker_quarantined: Arc<Counter>,
-    /// Accept-loop supervisor restarts.
+    /// In-place restarts of the accept loop after a panic.
     pub accept_restarts: Arc<Counter>,
     /// Shard attempts re-run after a failure (retry budget).
     pub shard_retried: Arc<Counter>,
@@ -99,8 +95,6 @@ impl Stats {
             coalesced: registry.counter("serve.coalesced"),
             latency: registry.histogram("serve.latency_us", &nm_obs::LATENCY_BOUNDS_US),
             worker_panics: registry.counter("serve.worker.panics"),
-            worker_restarts: registry.counter("serve.worker.restarts"),
-            worker_quarantined: registry.counter("serve.worker.quarantined"),
             accept_restarts: registry.counter("serve.accept.restarts"),
             shard_retried: registry.counter("serve.shard.retried"),
             shard_failures: registry.counter("serve.shard.failures"),

@@ -2,9 +2,8 @@
 //!
 //! The workspace's concurrent cores — the leader–follower batch
 //! coalescer, connection-slot semaphore, slowest-N exemplar ring,
-//! circuit-breaker bank, supervisor respawn path, and telemetry
-//! delta-sampler ring — written once as *generic* algorithms over a
-//! [`Backend`] trait.
+//! circuit-breaker bank, and telemetry delta-sampler ring — written
+//! once as *generic* algorithms over a [`Backend`] trait.
 //!
 //! Production (`nm-serve`, `nm-obs`) instantiates every core with the
 //! zero-cost [`StdBackend`], whose monitor is a plain
@@ -34,7 +33,6 @@ pub mod coalesce;
 pub mod deltaring;
 pub mod semaphore;
 pub mod slowring;
-pub mod supervise;
 
 pub use backend::{AtomicBoolCell, AtomicU64Cell, Backend, Monitor, StdBackend};
 pub use breaker::{
@@ -44,4 +42,3 @@ pub use coalesce::{BatchQueue, CoalesceBug, Slot};
 pub use deltaring::{DeltaBug, DeltaRing};
 pub use semaphore::{ConnGate, GateBug};
 pub use slowring::{Ranked, RingBug, SlowRing};
-pub use supervise::{ChildCell, RespawnBug, RespawnCore};

@@ -219,6 +219,8 @@ timeout 60 cargo run --release -q -p nm-cli -- chaos --seed 806405 \
   --series-out "$CHAOS_SERIES"
 grep -q '"name":"chaos.inject"' "$CHAOS_TRACE" \
   || { echo "chaos smoke: no chaos.inject event in trace"; exit 1; }
+grep -q '"name":"chaos.inject".*"kind":"worker_panic"' "$CHAOS_TRACE" \
+  || { echo "chaos smoke: no injected worker panic in trace"; exit 1; }
 grep -q '"name":"serve.breaker".*"state":"open"' "$CHAOS_TRACE" \
   || { echo "chaos smoke: no breaker-open event in trace"; exit 1; }
 grep -q '"name":"serve.degraded"' "$CHAOS_TRACE" \
