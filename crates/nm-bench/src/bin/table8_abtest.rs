@@ -8,23 +8,16 @@
 //! the paper's Table VIII line-up — each serving the same paired
 //! request stream.
 
-use nm_bench::{nmcdr_config, ExpProfile, ModelKind};
+use nm_bench::{ExpProfile, ModelKind};
 use nm_data::generate::{generate_with_truth, GroundTruth};
 use nm_data::Scenario;
 use nm_eval::abtest::{run_ab_test, AbDomain, ArmResult};
 use nm_models::{train_joint, CdrModel, CdrTask, Domain};
-use nmcdr_core::{Ablation, NmcdrModel};
 use std::rc::Rc;
 
 /// Trains one arm's model on the task and freezes its eval state.
 fn trained(kind: ModelKind, task: Rc<CdrTask>, profile: &ExpProfile) -> Box<dyn CdrModel> {
-    let mut model: Box<dyn CdrModel> = match kind {
-        ModelKind::Nmcdr => Box::new(NmcdrModel::new(
-            task,
-            nmcdr_config(profile, Ablation::none()),
-        )),
-        other => other.build(task, profile),
-    };
+    let mut model = kind.build(task, profile);
     let stats = train_joint(&mut *model, &profile.train_config()).expect("training");
     println!(
         "  trained {:<9} (HR@10 A/B: {:>5.2}/{:>5.2})",

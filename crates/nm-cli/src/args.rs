@@ -51,11 +51,14 @@ impl Args {
     /// Fails on a given option the command never read. Commands call
     /// this once they have read every option, before doing any work,
     /// so a misspelled `--scael` is an error rather than a silent
-    /// default.
+    /// default. An option only some modes read (`query --op stats
+    /// --user 3`) is reported the same way.
     pub fn reject_unread(&self) -> Result<(), String> {
         let read = self.read.borrow();
         match self.values.keys().filter(|k| !read.contains(*k)).min() {
-            Some(key) => Err(format!("unknown option --{key}")),
+            Some(key) => Err(format!(
+                "option --{key} is not used by this command with these options"
+            )),
             None => Ok(()),
         }
     }

@@ -74,38 +74,18 @@ pub fn chaos(args: &Args) -> Result<(), String> {
     // the control arm of the SLO smoke test (burn-rate alerts must NOT
     // fire without faults).
     let clean = args.flag("clean");
+    let rate = |key: &str, default: u32| -> Result<u32, String> {
+        let permille = args.parse_or(key, default)?;
+        Ok(if clean { 0 } else { permille })
+    };
     let cfg = ChaosConfig {
         seed,
-        worker_panic_permille: if clean {
-            0
-        } else {
-            args.parse_or("panic", 250)?
-        },
-        shard_stall_permille: if clean {
-            0
-        } else {
-            args.parse_or("stall", 250)?
-        },
-        torn_write_permille: if clean {
-            0
-        } else {
-            args.parse_or("torn-write", 100)?
-        },
-        torn_read_permille: if clean {
-            0
-        } else {
-            args.parse_or("torn-read", 100)?
-        },
-        reload_fail_permille: if clean {
-            0
-        } else {
-            args.parse_or("reload-fail", 500)?
-        },
-        deadline_expire_permille: if clean {
-            0
-        } else {
-            args.parse_or("deadline-expire", 150)?
-        },
+        worker_panic_permille: rate("panic", 250)?,
+        shard_stall_permille: rate("stall", 250)?,
+        torn_write_permille: rate("torn-write", 100)?,
+        torn_read_permille: rate("torn-read", 100)?,
+        reload_fail_permille: rate("reload-fail", 500)?,
+        deadline_expire_permille: rate("deadline-expire", 150)?,
     };
     if !clean && !cfg.enabled() {
         return Err("all fault rates are zero; nothing to drill (did you mean --clean?)".into());

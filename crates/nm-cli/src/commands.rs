@@ -670,20 +670,19 @@ pub fn stream(args: &Args) -> Result<(), String> {
 pub fn serve(args: &Args) -> Result<(), String> {
     use std::sync::Arc;
     let path = args.required("snapshot")?;
-    // Fault injection is off unless a chaos seed is given; the knob
-    // defaults are mild enough for interactive poking.
-    let chaos = match args.get("chaos-seed") {
-        Some(_) => Some(nm_serve::ChaosConfig {
-            seed: args.parse_or("chaos-seed", 0)?,
-            worker_panic_permille: args.parse_or("chaos-panic", 100)?,
-            shard_stall_permille: args.parse_or("chaos-stall", 100)?,
-            torn_write_permille: args.parse_or("chaos-torn-write", 50)?,
-            torn_read_permille: args.parse_or("chaos-torn-read", 50)?,
-            reload_fail_permille: args.parse_or("chaos-reload-fail", 100)?,
-            deadline_expire_permille: args.parse_or("chaos-deadline", 50)?,
-        }),
-        None => None,
+    // Fault injection is off unless a chaos seed is given (the rates are
+    // read either way); the knob defaults are mild enough for
+    // interactive poking.
+    let chaos = nm_serve::ChaosConfig {
+        seed: args.parse_or("chaos-seed", 0)?,
+        worker_panic_permille: args.parse_or("chaos-panic", 100)?,
+        shard_stall_permille: args.parse_or("chaos-stall", 100)?,
+        torn_write_permille: args.parse_or("chaos-torn-write", 50)?,
+        torn_read_permille: args.parse_or("chaos-torn-read", 50)?,
+        reload_fail_permille: args.parse_or("chaos-reload-fail", 100)?,
+        deadline_expire_permille: args.parse_or("chaos-deadline", 50)?,
     };
+    let chaos = args.get("chaos-seed").is_some().then_some(chaos);
     let cfg = nm_serve::EngineConfig {
         n_workers: args.parse_or("workers", nm_serve::EngineConfig::default().n_workers)?,
         shard_items: args.parse_or("shard-items", 256)?,
@@ -702,7 +701,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         format!("cannot load snapshot '{path}': {e} (export one with 'nmcdr snapshot --out ...')")
     })?;
     let model = snap.model.clone();
-    let n_workers = cfg.n_workers;
     if cfg.chaos.is_some() {
         println!("WARNING: chaos fault injection is ENABLED on this server");
     }
@@ -712,6 +710,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
         sample_interval: (sample_ms > 0).then(|| std::time::Duration::from_millis(sample_ms)),
         ..Default::default()
     };
+    let n_workers = engine.worker_threads();
     let mut server = nm_serve::Server::start(engine, bind, server_cfg)
         .map_err(|e| format!("cannot bind '{bind}': {e} (is the port already in use?)"))?;
     println!(
@@ -804,6 +803,17 @@ mod tests {
     fn misspelled_option_fails_before_any_work() {
         let argv = ["--scenario", "cloth-sport", "--scael", "0.001"].map(String::from);
         let args = Args::parse(&argv).expect("well-formed argv");
-        assert_eq!(stats(&args).unwrap_err(), "unknown option --scael");
+        assert_eq!(
+            stats(&args).unwrap_err(),
+            "option --scael is not used by this command with these options"
+        );
+    }
+
+    #[test]
+    fn serve_reads_chaos_rates_without_a_chaos_seed() {
+        let argv = ["--snapshot", "no-such.nmss", "--chaos-panic", "100"].map(String::from);
+        let args = Args::parse(&argv).expect("well-formed argv");
+        let err = serve(&args).unwrap_err();
+        assert!(err.starts_with("cannot load snapshot"), "{err}");
     }
 }

@@ -499,6 +499,12 @@ impl Engine {
         &self.reqtrace
     }
 
+    /// Scoring worker threads beside the batch leader: fewer than
+    /// [`EngineConfig::n_workers`] if some failed to spawn.
+    pub fn worker_threads(&self) -> usize {
+        self.pool.workers.len()
+    }
+
     /// Current snapshot epoch (bumped on every [`Engine::reload`]).
     pub fn epoch(&self) -> u64 {
         self.epoch_mirror.load(Ordering::Acquire)
@@ -1588,6 +1594,7 @@ mod tests {
         // claimed it.
         let s = e.stats();
         assert_eq!(s.breaker_opens.get(), 0);
+        assert_eq!(s.breaker_half_opens.get(), 0);
         assert_eq!(s.breaker_short_circuits.get(), 0);
         assert_eq!(s.shard_failures.get(), 21 * 8);
         assert_eq!(s.worker_panics.get(), s.shard_failures.get());
